@@ -26,6 +26,7 @@ from .qmatroid import (
     check_cyclic_flat_axioms,
     check_rank_axioms,
     enumerate_qmatroids,
+    parse_document,
 )
 from .representation import (
     QSystem,
@@ -171,22 +172,12 @@ def _cmd_verify_axioms(args):
     if "builtin" in doc:
         m = _load_matroid(args.doc)
         verdict = check_cyclic_flat_axioms(m.q, m.n, m.certificates())
-    elif "cyclic_flats" in doc:
-        q, n = int(doc["q"]), int(doc["n"])
-        pairs = [
-            (Subspace.from_dict({"q": q, "n": n, "basis": e["basis"]}), int(e["rank"]))
-            for e in doc["cyclic_flats"]
-        ]
-        verdict = check_cyclic_flat_axioms(q, n, pairs)
-    elif "ranks" in doc:
-        q, n = int(doc["q"]), int(doc["n"])
-        table = {
-            Subspace.from_dict({"q": q, "n": n, "basis": e["basis"]}): int(e["r"])
-            for e in doc["ranks"]
-        }
-        verdict = check_rank_axioms(q, n, table)
     else:
-        raise InputError("document has neither 'cyclic_flats' nor 'ranks' nor 'builtin'")
+        q, n, kind, pairs = parse_document(doc)
+        if kind == "cyclic_flats":
+            verdict = check_cyclic_flat_axioms(q, n, pairs)
+        else:
+            verdict = check_rank_axioms(q, n, dict(pairs))
     report = {"ok": verdict.ok, "failures": verdict.failures}
     if verdict.ok:
         text = "all axioms hold"

@@ -16,9 +16,10 @@ Axiom checkers for the three cryptomorphisms in use (rank axioms,
 independence axioms, cyclic-flat axioms) return verdicts carrying the
 violated axiom tag and a witness instead of raising.
 
-A QMatroid value is immutable except for its internal rank memo, whose
-writes are idempotent (same key always gets the same value), so
-concurrent readers need no coordination.
+A QMatroid value is immutable except for its internal rank memo and the
+cyclic flats a table backing found by scan, whose writes are idempotent
+(the same key or slot always gets the same value), so concurrent readers
+need no coordination.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .subspace import (
     atoms,
     codim1_subspaces,
     enumerate_subspaces,
+    hyperplane_walk,
     intersect_subspaces,
     invert_matrix,
     lattice_size,
@@ -74,7 +76,7 @@ def _fail(failures: list, axiom: str, witness) -> None:
 class QMatroid:
     """A q-matroid on F_q^n, backed by a rank table or by cyclic flats."""
 
-    __slots__ = ("q", "n", "E", "_table", "_certs", "_memo")
+    __slots__ = ("q", "n", "E", "_table", "_certs", "_memo", "_scanned")
 
     def __init__(self, q: int, n: int, *, table=None, certs=None):
         if (table is None) == (certs is None):
@@ -85,6 +87,7 @@ class QMatroid:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_certs", certs)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_scanned", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatroid is immutable")
@@ -224,15 +227,15 @@ class QMatroid:
 
     # -- cyclic flats -------------------------------------------------------
     def cyclic_flats(self) -> "CyclicFlatLattice":
-        if self._certs is not None:
-            return CyclicFlatLattice(self, self._certs)
-        return CyclicFlatLattice(self, cyclic_flats_by_scan(self))
+        return CyclicFlatLattice(self, self.certificates())
 
     def certificates(self):
-        """Cyclic flats with ranks, computing them by scan if needed."""
+        """Cyclic flats with ranks; a table backing scans for them once."""
         if self._certs is not None:
             return self._certs
-        return cyclic_flats_by_scan(self)
+        if self._scanned is None:
+            object.__setattr__(self, "_scanned", cyclic_flats_by_scan(self))
+        return self._scanned
 
     def as_cyclic_flat_backed(self) -> "QMatroid":
         if self._certs is not None:
@@ -324,23 +327,41 @@ class QMatroid:
 
     @classmethod
     def from_dict(cls, doc: dict, validate: bool = True) -> "QMatroid":
-        try:
-            q, n = int(doc["q"]), int(doc["n"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"malformed q-matroid document: {e}") from None
-        if "cyclic_flats" in doc:
-            flats = []
-            for entry in doc["cyclic_flats"]:
-                z = Subspace.from_dict({"q": q, "n": n, "basis": entry["basis"]})
-                flats.append((z, int(entry["rank"])))
-            return cls.from_cyclic_flats(q, n, flats, validate=validate)
-        if "ranks" in doc:
-            table = {}
-            for entry in doc["ranks"]:
-                s = Subspace.from_dict({"q": q, "n": n, "basis": entry["basis"]})
-                table[s] = int(entry["r"])
-            return cls.from_rank_table(q, n, table, validate=validate)
+        q, n, kind, pairs = parse_document(doc)
+        if kind == "cyclic_flats":
+            return cls.from_cyclic_flats(q, n, pairs, validate=validate)
+        return cls.from_rank_table(q, n, dict(pairs), validate=validate)
+
+
+def parse_document(doc: dict):
+    """(q, n, kind, pairs) of a q-matroid document.
+
+    kind is "cyclic_flats" or "ranks" (the first present wins) and pairs
+    lists one (subspace, value) per entry.  A document of the wrong shape
+    raises InputError; whether the values obey any axioms is left to the
+    caller.
+    """
+    try:
+        q, n = int(doc["q"]), int(doc["n"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"malformed q-matroid document: {e}") from None
+    Subspace.zero(q, n)  # rejects a bad field size or a negative dimension
+    for kind, key in (("cyclic_flats", "rank"), ("ranks", "r")):
+        if kind in doc:
+            break
+    else:
         raise InputError("q-matroid document needs 'cyclic_flats' or 'ranks'")
+    entries = doc[kind]
+    if not isinstance(entries, list):
+        raise InputError(f"'{kind}' must be a list of entries")
+    pairs = []
+    for entry in entries:
+        try:
+            space = Subspace.from_dict({"q": q, "n": n, "basis": entry["basis"]})
+            pairs.append((space, int(entry[key])))
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"malformed '{kind}' entry {entry!r}: {e!r}") from None
+    return q, n, kind, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +449,24 @@ def cyclic_flats_by_scan(m: QMatroid):
     hyperplanes share its rank, which simultaneously settles cyclicity
     for the subspace and flatness for the hyperplanes.
     """
-    q, n = m.q, m.n
     out = []
-    prev: dict[Subspace, int] = {}
-    prev_cyclic: dict[Subspace, bool] = {}
-    for d in range(n + 1):
-        cur = {s: m.rank(s) for s in enumerate_subspaces(q, n, [d])}
-        cur_cyclic = {}
-        killed = set()
-        for s, rs in cur.items():
+    prev, prev_ranks, prev_cyclic = [], [], []
+    for stratum, hypers in hyperplane_walk(m.q, m.n):
+        ranks = [m.rank(s) for s in stratum]
+        flat = [True] * len(prev)
+        cyclic = []
+        for rs, hs in zip(ranks, hypers):
             cyc = True
-            for b in codim1_subspaces(s):
-                if prev[b] == rs:
-                    killed.add(b)
+            for h in hs:
+                if prev_ranks[h] == rs:
+                    flat[h] = False
                 else:
                     cyc = False
-            cur_cyclic[s] = cyc
-        for b, rb in prev.items():
-            if b not in killed and prev_cyclic[b]:
-                out.append((b, rb))
-        prev, prev_cyclic = cur, cur_cyclic
-    for s, rs in prev.items():
-        if prev_cyclic[s]:
-            out.append((s, rs))
+            cyclic.append(cyc)
+        out += [(b, rb) for b, rb, c, f in zip(prev, prev_ranks, prev_cyclic, flat) if c and f]
+        prev, prev_ranks, prev_cyclic = stratum, ranks, cyclic
+    # The ground space is flat: nothing covers it.
+    out += [(s, rs) for s, rs, c in zip(prev, prev_ranks, prev_cyclic) if c]
     out.sort(key=lambda p: p[0].sort_key())
     return tuple(out)
 
@@ -577,38 +593,60 @@ def _check_rank_pairs_full(q, n, table, failures) -> None:
 
 
 def _check_rank_pairs_local(q, n, table, failures) -> None:
-    # Monotone cover steps and the cover-pair diamond inequality; callers
-    # relying on this route for large tables get the same verdict as the
-    # full pairwise sweep (cross-validated in the tests on small cases).
-    for s, rs in table.items():
-        if s.dim == 0:
-            continue
-        hypers = list(codim1_subspaces(s))
-        hr = [table[b] for b in hypers]
-        for b, rb in zip(hypers, hr):
-            if rb > rs:
-                _fail(failures, "(R2)", {"sub": b.to_dict(), "sup": s.to_dict()})
-            if rs > rb + 1:
-                _fail(failures, "(R3)", {"a": b.to_dict(), "b": s.to_dict()})
-        if failures:
-            return
-    # Diamonds: for covers B, C of A inside B+C, require
-    # r(B) + r(C) >= r(B+C) + r(A).
-    for s, rs in table.items():
-        if s.dim < 2:
-            continue
-        hypers = list(codim1_subspaces(s))
-        hr = [table[b] for b in hypers]
-        for i in range(len(hypers)):
-            for j in range(i + 1, len(hypers)):
-                a = intersect_subspaces(hypers[i], hypers[j])
-                if hr[i] + hr[j] < rs + table[a]:
-                    _fail(
-                        failures,
-                        "(R3)",
-                        {"a": hypers[i].to_dict(), "b": hypers[j].to_dict()},
+    # One walk up the lattice checks covers only; with (R1) holding this
+    # gives the verdict of the pairwise sweep.
+    #
+    # Cover steps, for each hyperplane B of S: r(B) <= r(S) is (R2), and
+    # monotone steps give monotonicity.  r(S) <= r(B) + 1 is (R3) on B and
+    # an atom x of S outside B, since r(x) <= 1 and r(0) = 0; that pair is
+    # the witness.
+    #
+    # Diamonds: a function on the modular lattice of subspaces is
+    # submodular once r(B) + r(C) >= r(B + C) + r(B meet C) holds for every
+    # pair of distinct hyperplanes B, C of a common S.  Such a pair meets
+    # in a codimension-2 subspace W of S, and each W lies in exactly q + 1
+    # hyperplanes of S, any two of which meet in W and span S.  So every
+    # pair at (S, W) holds exactly when the two smallest ranks among those
+    # q + 1 hyperplanes sum to at least r(S) + r(W): one inequality per W
+    # instead of one per pair.  W is a hyperplane id shared by hyperplanes
+    # of S, so no intersection is computed.
+    #
+    # Every cover-step failure outranks a diamond one: after the first
+    # broken diamond the walk goes on with cover steps only, and reports
+    # the diamond if they all hold.
+    diamond = None
+    b_spaces, b_ranks, b_hypers, w_ranks = [], [], [], []
+    for stratum, hypers in hyperplane_walk(q, n):
+        ranks = [table[s] for s in stratum]
+        for s, rs, hs in zip(stratum, ranks, hypers):
+            for h in hs:
+                b = b_spaces[h]
+                if b_ranks[h] > rs:
+                    _fail(failures, "(R2)", {"sub": b.to_dict(), "sup": s.to_dict()})
+                if rs > b_ranks[h] + 1:
+                    x = next(v for v in s.rows if not b.contains_vector(v))
+                    _fail(failures, "(R3)",
+                          {"a": b.to_dict(), "b": Subspace(q, n, [x]).to_dict()})
+            if failures:
+                return
+            if diamond is not None:
+                continue
+            above: dict[int, list[int]] = {}
+            for h in hs:
+                for w in b_hypers[h]:
+                    above.setdefault(w, []).append(h)
+            for w, bs in above.items():
+                if len(bs) != q + 1:
+                    raise AssertionError(
+                        f"codimension-2 subspace in {len(bs)} hyperplanes, expected {q + 1}"
                     )
-                    return
+                b, c = sorted(bs, key=b_ranks.__getitem__)[:2]
+                if b_ranks[b] + b_ranks[c] < rs + w_ranks[w]:
+                    diamond = {"a": b_spaces[b].to_dict(), "b": b_spaces[c].to_dict()}
+                    break
+        b_spaces, b_ranks, b_hypers, w_ranks = stratum, ranks, hypers, b_ranks
+    if diamond is not None:
+        _fail(failures, "(R3)", diamond)
 
 
 # ---------------------------------------------------------------------------

@@ -521,8 +521,30 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"q-binomial [{n} choose {k}]_{q} is not an integer")
     return num // den
+
+
+def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple[int, ...]]]]:
+    """The lattice of F_q^n one dimension stratum at a time.
+
+    Yields (stratum, hyperplanes) for d = 0..n: the d-dimensional
+    subspaces in enumeration order, and for each of them the ids
+    (positions in the previous stratum) of its hyperplanes, in
+    codim1_subspaces order.  Each subspace costs one codim1_subspaces
+    pass, and the walk itself holds at most two adjacent strata.
+    """
+    index: dict[Subspace, int] = {}
+    for d in range(n + 1):
+        stratum = list(enumerate_subspaces(q, n, [d]))
+        expect = gaussian_binomial(n, d, q)
+        if len(stratum) != expect:
+            raise AssertionError(
+                f"walk met {len(stratum)} subspaces of dim {d}, expected {expect}"
+            )
+        yield stratum, [tuple(index[b] for b in codim1_subspaces(s)) for s in stratum]
+        index = {s: i for i, s in enumerate(stratum)}
 
 
 def lattice_size(q: int, n: int) -> int:

@@ -205,6 +205,19 @@ def test_input_error_exits(capsys, docs, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"q": 2, "n": 1, "ranks": [{"basis": []}, {"basis": [[1]], "r": 1}]},
+    {"q": 2, "n": 1, "cyclic_flats": [{"basis": []}]},
+    {"q": 2, "n": 1, "cyclic_flats": "xx"},
+    {"q": 2, "n": -1, "cyclic_flats": []},
+], ids=["rank-entry-without-r", "flat-without-rank", "flats-not-a-list", "negative-n"])
+def test_malformed_documents_exit_2(capsys, tmp_path, doc):
+    path = write(tmp_path, "bad.json", doc)
+    for verb in ("verify-axioms", "cyclic-flats"):
+        assert main([verb, path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_vamos_guard(capsys, docs):
     assert main(["cyclic-flats", docs["u12"], "--budget", "vamos"]) == 2
     assert "builtin" in capsys.readouterr().err

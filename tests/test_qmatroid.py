@@ -29,10 +29,12 @@ from qmatroids.subspace import (
     Subspace,
     codim1_subspaces,
     enumerate_subspaces,
+    intersect_subspaces,
     invert_matrix,
     orthogonal_complement,
     pack_vector,
     subspaces_of,
+    sum_subspaces,
 )
 
 U = QMatroid.uniform
@@ -114,19 +116,32 @@ def test_rank_table_validation_flags_range_and_monotonicity():
     assert "(R2)" in check_rank_axioms(2, 2, table).failed_axioms()
 
 
+def _is_real_violation(table, failure) -> bool:
+    w = {k: Subspace.from_dict(v) for k, v in failure["witness"].items()}
+    if failure["axiom"] == "(R2)":
+        return w["sup"].contains(w["sub"]) and table[w["sub"]] > table[w["sup"]]
+    a, b = w["a"], w["b"]
+    return table[a] + table[b] < (
+        table[sum_subspaces(a, b)] + table[intersect_subspaces(a, b)])
+
+
 def test_full_and_local_rank_checkers_agree():
     rng = random.Random(41)
-    base = full_rank_table(U(2, 3, 2))
-    spaces = list(base)
-    for trial in range(80):
-        table = dict(base)
-        for _ in range(rng.randrange(1, 3)):
-            s = rng.choice(spaces)
-            bump = rng.choice((-1, 1))
-            table[s] = max(0, min(s.dim, table[s] + bump))
-        ok_full = check_rank_axioms(2, 3, table, method="full").ok
-        ok_local = check_rank_axioms(2, 3, table, method="local").ok
-        assert ok_full == ok_local
+    for m, trials in ((U(2, 3, 2), 80), (U(3, 3, 2), 40), (U(3, 3, 1), 40),
+                      (U(2, 4, 2), 40), (diagonal_flat_matroid(), 40)):
+        base = full_rank_table(m)
+        spaces = list(base)
+        for trial in range(trials):
+            table = dict(base)
+            for _ in range(rng.randrange(1, 3)):
+                s = rng.choice(spaces)
+                bump = rng.choice((-1, 1))
+                table[s] = max(0, min(s.dim, table[s] + bump))
+            ok_full = check_rank_axioms(m.q, m.n, table, method="full").ok
+            local = check_rank_axioms(m.q, m.n, table, method="local")
+            assert ok_full == local.ok
+            for failure in local.failures:
+                assert _is_real_violation(table, failure), failure
 
 
 def test_independence_axioms_positive():
@@ -206,6 +221,13 @@ def test_certificate_and_table_backings_agree():
             m.q, m.n, m.cyclic_flats().pairs, validate=False)
         assert rank_tables_equal(m, rebuilt)
         assert rank_tables_equal(m, m.as_cyclic_flat_backed())
+
+
+def test_table_backing_scans_once():
+    m = QMatroid(2, 4, table=full_rank_table(diagonal_flat_matroid()))
+    first = m.certificates()
+    assert m.cyclic_flats().pairs == first
+    assert m.certificates() is first
 
 
 def test_from_cyclic_flats_validates():

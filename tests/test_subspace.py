@@ -15,6 +15,7 @@ from qmatroids.subspace import (
     covers,
     enumerate_subspaces,
     gaussian_binomial,
+    hyperplane_walk,
     intersect_subspaces,
     invert_matrix,
     lattice_size,
@@ -158,6 +159,19 @@ def test_enumerate_subspaces_counts_and_order():
         assert dims == sorted(dims)
         for k in range(n + 1):
             assert dims.count(k) == gaussian_binomial(n, k, q)
+
+
+def test_hyperplane_walk_strata_and_ids():
+    for q, n in ((2, 4), (3, 3)):
+        prev = []
+        for d, (stratum, hypers) in enumerate(hyperplane_walk(q, n)):
+            assert len(stratum) == gaussian_binomial(n, d, q)
+            assert stratum == list(enumerate_subspaces(q, n, [d]))
+            assert len(hypers) == len(stratum)
+            for s, ids in zip(stratum, hypers):
+                assert [prev[i] for i in ids] == list(codim1_subspaces(s))
+            prev = stratum
+        assert d == n
 
 
 def test_subspaces_of_matches_filter():
