@@ -3,7 +3,8 @@
 Each verb maps onto one library operation.  Inputs are JSON documents;
 reports go to standard output (JSON or plain text), progress chatter to
 standard error.  Exit codes: 0 for success or a true verdict, 1 for a
-false verdict, 2 for input errors, 3 for exhausted budgets.
+false verdict, 2 for input errors, 3 for exhausted budgets, 4 for a
+failed internal consistency check (a bug, reported on standard error).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .constructions import direct_sum, free_product, weak_compare_identity
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .factorization import (
     irreducibility_verdict,
     primary_factorization,
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

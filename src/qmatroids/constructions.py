@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .qmatroid import QMatroid
+from .errors import InputError, InvariantError
+from .qmatroid import QMatroid, rank_from_independents  # noqa: F401  (kept importable here)
 from .subspace import (
     DirectSumContext,
     Subspace,
-    codim1_subspaces,
     enumerate_subspaces,
     lattice_size,
     subspaces_of,
@@ -79,7 +78,7 @@ def free_product(m1: QMatroid, m2: QMatroid, validate: bool | None = None) -> QM
             want = free_product_rank(m1, m2, x)
             got = out.rank(x)
             if got != want:
-                raise AssertionError(
+                raise InvariantError(
                     f"free-product certificates disagree with the rank formula "
                     f"at {x.coeff_rows()}: {got} != {want}"
                 )
@@ -125,22 +124,6 @@ def free_product_independents(m1: QMatroid, m2: QMatroid) -> set[Subspace]:
         for i in enumerate_subspaces(m1.q, ctx.n)
         if is_free_product_independent(m1, m2, i)
     }
-
-
-def rank_from_independents(q: int, n: int, indep) -> dict[Subspace, int]:
-    """The rank table generated by an independence family: r(X) is the
-    top dimension of a member inside X, by hyperplane dynamic
-    programming.  No axioms are assumed."""
-    iset = set(indep)
-    table: dict[Subspace, int] = {}
-    for s in enumerate_subspaces(q, n):
-        if s in iset:
-            table[s] = s.dim
-        elif s.dim == 0:
-            table[s] = 0
-        else:
-            table[s] = max(table[b] for b in codim1_subspaces(s))
-    return table
 
 
 def free_product_chain(ms) -> QMatroid:

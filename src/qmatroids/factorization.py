@@ -21,7 +21,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .constructions import free_product_chain
 from .qmatroid import QMatroid, rank_tables_equal, transport
 from .subspace import (
@@ -115,16 +115,12 @@ class DmLattice:
         out.sort(key=lambda s: s.dim)
         for a, b in zip(out, out[1:]):
             if not b.contains(a):
-                raise AssertionError("pinchpoints failed to form a chain")
+                raise InvariantError("pinchpoints failed to form a chain")
         return out
 
 
 def dm_lattice(m: QMatroid) -> DmLattice:
     return DmLattice(m)
-
-
-def pinchpoints(d: DmLattice) -> list[Subspace]:
-    return d.pinchpoints()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +197,7 @@ def primary_factorization(m: QMatroid, validate: bool | None = None) -> Factoriz
     if validate and len(factors) >= 1:
         rebuilt = free_product_chain(factors)
         if not rank_tables_equal(rebuilt, transport(m, adapted)):
-            raise AssertionError(
+            raise InvariantError(
                 "primary factors failed to reproduce the q-matroid"
             )
         verified = True
@@ -221,14 +217,10 @@ def vamos_designated_spaces(q: int = 2) -> list[Subspace]:
     """The five designated 4-dim spaces, in pairs of coordinate planes."""
     blocks = [(0, 1), (2, 3), (4, 5), (6, 7)]
     picks = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    units = Subspace.full(q, 8).rows
     out = []
     for i, j in picks:
-        coords = list(blocks[i]) + list(blocks[j])
-        if q == 2:
-            rows = [1 << c for c in coords]
-        else:
-            rows = [tuple(1 if t == c else 0 for t in range(8)) for c in coords]
-        out.append(Subspace(q, 8, rows))
+        out.append(Subspace(q, 8, [units[c] for c in blocks[i] + blocks[j]]))
     return out
 
 
@@ -322,12 +314,12 @@ def vamos_cyclic_flats_scan(q: int = 2, workers: int = 1, progress: bool = False
     for k in range(9):
         expect = gaussian_binomial(8, k, q)
         if per_dim[k] != expect:
-            raise AssertionError(
+            raise InvariantError(
                 f"scan visited {per_dim[k]} subspaces of dim {k}, expected {expect}"
             )
     oracle = vamos_qmatroid(q)
     for s, r in found:
         if oracle.rank(s) != r or not oracle.is_cyclic(s) or not oracle.is_flat(s):
-            raise AssertionError(f"scan positive {s.coeff_rows()} failed re-verification")
+            raise InvariantError(f"scan positive {s.coeff_rows()} failed re-verification")
     found.sort(key=lambda p: p[0].sort_key())
     return found

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .subspace import (
+    QuotientMap,
     Subspace,
     atom_vectors,
     atoms,
@@ -41,7 +42,6 @@ from .subspace import (
     orthogonal_complement,
     pack_vector,
     phi,
-    quotient_coords,
     require_materialize_budget,
     sum_subspaces,
     vector_index,
@@ -99,16 +99,7 @@ class QMatroid:
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_rank_table(cls, q: int, n: int, table, validate: bool = False) -> "QMatroid":
-        if callable(table):
-            require_materialize_budget(q, n)
-            table = {s: int(table(s)) for s in enumerate_subspaces(q, n)}
-        else:
-            table = dict(table)
-            expected = lattice_size(q, n)
-            if len(table) != expected:
-                raise InputError(
-                    f"rank table has {len(table)} entries, expected {expected}"
-                )
+        table = _rank_table(q, n, table)
         if validate:
             verdict = check_rank_axioms(q, n, table)
             if not verdict.ok:
@@ -293,7 +284,7 @@ class QMatroid:
         Ranks are r(X) - r(sub) for sub <= X <= sup, carried onto
         F_q^{dim sup - dim sub} by the deterministic quotient coordinates.
         """
-        qm = quotient_coords(sub, sup)
+        qm = QuotientMap(sub, sup)
         if sub.dim == 0 and sup.dim == self.n:
             return self, qm
         d = qm.dim
@@ -526,11 +517,17 @@ def transport(m: QMatroid, images) -> QMatroid:
 # ---------------------------------------------------------------------------
 # Rank axioms.
 
-def _materialize_rank_table(q: int, n: int, rank_of) -> dict[Subspace, int]:
+def _rank_table(q: int, n: int, rank_of) -> dict[Subspace, int]:
+    """A rank table from a rank function or a mapping; a mapping must
+    cover the whole lattice of F_q^n."""
     if callable(rank_of):
         require_materialize_budget(q, n)
         return {s: int(rank_of(s)) for s in enumerate_subspaces(q, n)}
-    return dict(rank_of)
+    table = dict(rank_of)
+    expected = lattice_size(q, n)
+    if len(table) != expected:
+        raise InputError(f"rank table has {len(table)} entries, expected {expected}")
+    return table
 
 
 def check_rank_axioms(q: int, n: int, rank_of, method: str = "auto") -> AxiomVerdict:
@@ -541,10 +538,7 @@ def check_rank_axioms(q: int, n: int, rank_of, method: str = "auto") -> AxiomVer
     which is equivalent for functions on the subspace lattice and far
     cheaper on big tables.  "auto" switches on the table size.
     """
-    table = _materialize_rank_table(q, n, rank_of)
-    expected = lattice_size(q, n)
-    if len(table) != expected:
-        raise InputError(f"rank table has {len(table)} entries, expected {expected}")
+    table = _rank_table(q, n, rank_of)
     failures: list = []
 
     for s, r in table.items():
@@ -637,7 +631,7 @@ def _check_rank_pairs_local(q, n, table, failures) -> None:
                     above.setdefault(w, []).append(h)
             for w, bs in above.items():
                 if len(bs) != q + 1:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"codimension-2 subspace in {len(bs)} hyperplanes, expected {q + 1}"
                     )
                 b, c = sorted(bs, key=b_ranks.__getitem__)[:2]
@@ -712,15 +706,8 @@ def check_independence_axioms(q: int, n: int, indep) -> AxiomVerdict:
     # programming over hyperplanes (no axiom assumed).  up[S] marks the
     # atoms whose addition raises mmax; the axiom reduces to the mask
     # inclusion up[A] <= up[I] for each I maximal in A.
-    all_subs = list(enumerate_subspaces(q, n))
-    mmax: dict[Subspace, int] = {}
-    for s in all_subs:
-        if s in iset:
-            mmax[s] = s.dim
-        elif s.dim == 0:
-            mmax[s] = 0
-        else:
-            mmax[s] = max(mmax[b] for b in codim1_subspaces(s))
+    mmax = rank_from_independents(q, n, iset)
+    all_subs = list(mmax)
     up = {}
     smask = {s: s.element_mask() for s in all_subs}
     for s in all_subs:
@@ -751,6 +738,22 @@ def check_independence_axioms(q: int, n: int, indep) -> AxiomVerdict:
                 )
                 return AxiomVerdict(False, failures)
     return AxiomVerdict(True, failures)
+
+
+def rank_from_independents(q: int, n: int, indep) -> dict[Subspace, int]:
+    """The rank table generated by an independence family: r(X) is the
+    top dimension of a member inside X, by hyperplane dynamic
+    programming.  No axioms are assumed."""
+    iset = set(indep)
+    table: dict[Subspace, int] = {}
+    for s in enumerate_subspaces(q, n):
+        if s in iset:
+            table[s] = s.dim
+        elif s.dim == 0:
+            table[s] = 0
+        else:
+            table[s] = max(table[b] for b in codim1_subspaces(s))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -907,17 +910,13 @@ def is_isomorphic(m1: QMatroid, m2: QMatroid) -> IsoVerdict:
     for s in table1:
         if s.dim == 0:
             continue
-        if q == 2:
-            top = max(r.bit_length() for r in s.rows)
-        else:
-            top = max(len(r) - next(i for i, x in enumerate(reversed(r)) if x) for r in s.rows)
+        top = max(i for r in s.coeff_rows() for i, x in enumerate(r) if x) + 1
         strata[top].append(s)
 
-    full = Subspace.full(q, n)
-    if q == 2:
-        vecs = [v for v in full.elements() if v]
-    else:
-        vecs = [v for v in full.elements() if any(v)]
+    vecs = Subspace.full(q, n).elements()[1:]  # every vector but zero
+    # images of the unused coordinates of a partial map; strata[<= k]
+    # never reach them
+    pad = [pack_vector(q, n, [0] * n)] * n
 
     def dfs(chosen: list, span: Subspace):
         k = len(chosen)
@@ -929,7 +928,7 @@ def is_isomorphic(m1: QMatroid, m2: QMatroid) -> IsoVerdict:
             chosen.append(v)
             ok = True
             for s in strata[k + 1]:
-                if table2[map_by_matrix(s, chosen + _pad(q, n, k + 1))] != table1[s]:
+                if table2[map_by_matrix(s, chosen + pad[k + 1:])] != table1[s]:
                     ok = False
                     break
             if ok:
@@ -938,12 +937,6 @@ def is_isomorphic(m1: QMatroid, m2: QMatroid) -> IsoVerdict:
                     return got
             chosen.pop()
         return None
-
-    def _pad(q, n, k):
-        # unused coordinates of a partial map; never reached by strata[<=k]
-        if q == 2:
-            return [0] * (n - k)
-        return [(0,) * n] * (n - k)
 
     got = dfs([], Subspace.zero(q, n))
     if got is None:

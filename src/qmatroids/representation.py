@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .constructions import free_product
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .gf import BaseField, ExtField, Matrix, matrix_rank
 from .qmatroid import QMatroid
 from .subspace import Subspace, enumerate_subspaces
@@ -239,7 +239,8 @@ def linear_set_profile(system: QSystem) -> LinearSetProfile:
             size //= q
             w += 1
         # |S meet P| is an F_q-subspace, so the count must be q^w - 1.
-        assert size == 1 and w >= 1, "point count is not a power of q"
+        if size != 1 or w < 1:
+            raise InvariantError("point count is not a power of q")
         points.append((pt, w))
     return LinearSetProfile(field=field, rank=n, points=tuple(points))
 
@@ -454,7 +455,8 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
         _split_seam(q, n, n1): k1,
         Subspace.full(q, n): k,
     }
-    assert dict(anchor.cyclic_flats().pairs) == expected
+    if dict(anchor.cyclic_flats().pairs) != expected:
+        raise InvariantError("target's cyclic flats are not the uniform free-product profile")
     task = (q, field.m, field.modulus, G1.rows, G2.rows)
     if workers > 1:
         # contiguous lead ranges, one task per worker
@@ -467,5 +469,6 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
         hits = _scan_chunk(task + (None,))
     if hits:
         first = _as_block(field, hits[0], k1, n2)
-        assert verify_free_product_rep(block_rep(G1, G2, first), q, n1, k1)
+        if not verify_free_product_rep(block_rep(G1, G2, first), q, n1, k1):
+            raise InvariantError("first hit failed the literal verification")
     return [_as_block(field, entries, k1, n2) for entries in hits]

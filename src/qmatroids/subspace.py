@@ -2,11 +2,23 @@
 
 A subspace is identified by the reduced row echelon basis of its row
 space, so equality and hashing are exact and independent of how the
-space was presented.  For q = 2 a basis row is a machine integer with
-bit i holding coordinate i (the pivot of a row is its lowest set bit);
-for odd primes a row is a tuple of residues.  All objects here are
-immutable values, safe to share between threads and worker processes;
-the only mutation anywhere is an idempotent cache of the element mask.
+space was presented.  All objects here are immutable values, safe to
+share between threads and worker processes; the only mutation anywhere
+is idempotent caching: a subspace's element mask, and per field and
+dimension the zero vector, the unit vectors and the hyperplane
+functionals.
+
+Vectors have two packed formats.  For q = 2 a vector is a machine
+integer with bit i holding coordinate i (the pivot of a row is its
+lowest set bit); for odd primes it is a tuple of residues.  Only the
+vector primitives know the two formats: the elimination kernels
+(`_rref`, `_reduce` and the row insertion in `Subspace.extend`),
+`_nonzero`, `_axpy` (y + c*x), `_concat` and `_split` of coordinate
+blocks, `pack_vector`, `unpack_vector` and `vector_index`.  Every
+lattice operation is written once on top of them.  GF(2) keeps its own
+bit-packed elimination because it is several times faster than the
+generic one on residue tuples, and elimination is where the sweeps
+spend their time.
 
 Scale limits are deliberate: q is a prime at most 13, and any function
 that enumerates vectors or subspaces refuses ambients with more than
@@ -16,10 +28,11 @@ caller's side).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .gf import is_prime, MAX_BASE_PRIME
 
 # Enumeration guards: streaming over vectors/atoms of an ambient space is
@@ -35,7 +48,7 @@ def _check_q(q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row-space canonical forms.
+# Elimination kernels and vector primitives.
 
 def _rref_gf2(rows: Iterable[int]) -> tuple[int, ...]:
     piv: dict[int, int] = {}
@@ -108,6 +121,41 @@ def _reduce_q(v, rows, q: int):
     return tuple(v)
 
 
+def _rref(q: int, rows: Iterable) -> tuple:
+    """Canonical basis (RREF, increasing pivots) of the span of rows."""
+    return _rref_gf2(rows) if q == 2 else _rref_q(rows, q)
+
+
+def _reduce(q: int, v, rows: Sequence):
+    """v with its entries at the pivots of the RREF rows cleared."""
+    return _reduce_gf2(v, rows) if q == 2 else _reduce_q(v, rows, q)
+
+
+def _nonzero(q: int, v) -> bool:
+    return v != 0 if q == 2 else any(v)
+
+
+def _axpy(q: int, c: int, x, y):
+    """y + c*x, for c in (-q, q); y itself when c is 0."""
+    if not c:
+        return y
+    if q == 2:
+        return y ^ x
+    return tuple((b + c * a) % q for a, b in zip(x, y))
+
+
+def _concat(q: int, n: int, u, v):
+    """The vector (u, v), with u in F_q^n."""
+    return u | (v << n) if q == 2 else tuple(u) + tuple(v)
+
+
+def _split(q: int, n: int, r) -> tuple:
+    """(the first n coordinates of r, the remaining coordinates)."""
+    if q == 2:
+        return r & ((1 << n) - 1), r >> n
+    return r[:n], r[n:]
+
+
 def pack_vector(q: int, n: int, coeffs: Sequence[int]):
     if len(coeffs) != n:
         raise InputError(f"vector length {len(coeffs)} != ambient dimension {n}")
@@ -132,6 +180,17 @@ def vector_index(q: int, n: int, v) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=64)
+def _zero(q: int, n: int):
+    return pack_vector(q, n, [0] * n)
+
+
+@functools.lru_cache(maxsize=64)
+def _units(q: int, n: int) -> tuple:
+    """The standard basis e_0, ..., e_(n-1) of F_q^n."""
+    return tuple(pack_vector(q, n, [int(j == i) for j in range(n)]) for i in range(n))
+
+
 class Subspace:
     """A subspace of F_q^n, stored as its canonical RREF basis."""
 
@@ -142,7 +201,7 @@ class Subspace:
         if n < 0:
             raise InputError("ambient dimension must be nonnegative")
         if _rows is None:
-            _rows = _rref_gf2(vectors) if q == 2 else _rref_q(vectors, q)
+            _rows = _rref(q, vectors)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", _rows)
@@ -162,11 +221,7 @@ class Subspace:
 
     @classmethod
     def full(cls, q: int, n: int) -> "Subspace":
-        if q == 2:
-            rows = tuple(1 << i for i in range(n))
-        else:
-            rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return cls._make(q, n, rows)
+        return cls._make(q, n, _units(q, n))
 
     @classmethod
     def from_coeff_rows(cls, q: int, n: int, basis: Iterable[Sequence[int]]) -> "Subspace":
@@ -200,12 +255,8 @@ class Subspace:
         return [unpack_vector(self.q, self.n, r) for r in self.rows]
 
     # -- membership -----------------------------------------------------
-    def reduce_vector(self, v):
-        return _reduce_gf2(v, self.rows) if self.q == 2 else _reduce_q(v, self.rows, self.q)
-
     def contains_vector(self, v) -> bool:
-        r = self.reduce_vector(v)
-        return r == 0 if self.q == 2 else not any(r)
+        return not _nonzero(self.q, _reduce(self.q, v, self.rows))
 
     def contains(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
@@ -213,8 +264,8 @@ class Subspace:
 
     def extend(self, v) -> "Subspace":
         """Span of self and one extra vector."""
-        vred = self.reduce_vector(v)
-        if (vred == 0) if self.q == 2 else not any(vred):
+        vred = _reduce(self.q, v, self.rows)
+        if not _nonzero(self.q, vred):
             return self
         if self.q == 2:
             b = vred & -vred
@@ -250,18 +301,9 @@ class Subspace:
     # -- element streams -------------------------------------------------
     def elements(self) -> list:
         """All q^dim vectors, in binary/positional counting order over the basis."""
-        if self.q == 2:
-            els = [0]
-            for r in self.rows:
-                els += [e ^ r for e in els]
-            return els
-        els = [tuple([0] * self.n)]
+        els = [_zero(self.q, self.n)]
         for r in self.rows:
-            new = list(els)
-            for c in range(1, self.q):
-                scaled = tuple((c * x) % self.q for x in r)
-                new += [tuple((a + b) % self.q for a, b in zip(e, scaled)) for e in els]
-            els = new
+            els = [_axpy(self.q, c, r, e) for c in range(self.q) for e in els]
         return els
 
     def element_mask(self) -> int:
@@ -309,66 +351,43 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 
 def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    if a.q == 2:
-        return Subspace._make(a.q, a.n, _rref_gf2(a.rows + b.rows))
-    return Subspace._make(a.q, a.n, _rref_q(a.rows + b.rows, a.q))
+    return Subspace._make(a.q, a.n, _rref(a.q, a.rows + b.rows))
 
 
 def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus: reduce [[A A],[B 0]]; zero-left rows carry the intersection."""
     _check_same_ambient(a, b)
     q, n = a.q, a.n
-    if q == 2:
-        mask = (1 << n) - 1
-        rows = [r | (r << n) for r in a.rows] + list(b.rows)
-        red = _rref_gf2(rows)
-        inter = [r >> n for r in red if not (r & mask)]
-        return Subspace._make(q, n, _rref_gf2(inter))
-    zero = (0,) * n
-    rows = [tuple(r) + tuple(r) for r in a.rows] + [tuple(r) + zero for r in b.rows]
-    red = _rref_q(rows, q)
-    inter = [r[n:] for r in red if not any(r[:n])]
-    return Subspace._make(q, n, _rref_q(inter, q))
+    zero = _zero(q, n)
+    rows = [_concat(q, n, r, r) for r in a.rows] + [_concat(q, n, r, zero) for r in b.rows]
+    halves = (_split(q, n, r) for r in _rref(q, rows))
+    inter = [right for left, right in halves if not _nonzero(q, left)]
+    return Subspace._make(q, n, _rref(q, inter))
 
 
 def orthogonal_complement(a: Subspace) -> Subspace:
     """Null space under the standard dot product on F_q^n."""
     q, n = a.q, a.n
-    if q == 2:
-        pivots = [(r & -r).bit_length() - 1 for r in a.rows]
-        pivset = set(pivots)
-        out = []
-        for f in range(n):
-            if f in pivset:
-                continue
-            v = 1 << f
-            for i, p in enumerate(pivots):
-                if (a.rows[i] >> f) & 1:
-                    v ^= 1 << p
-            out.append(v)
-        return Subspace._make(q, n, _rref_gf2(out))
-    pivots = [_pivot_index(r) for r in a.rows]
-    pivset = set(pivots)
+    units = _units(q, n)
+    rows = a.coeff_rows()
+    pivots = [_pivot_index(r) for r in rows]
     out = []
     for f in range(n):
-        if f in pivset:
+        if f in pivots:
             continue
-        v = [0] * n
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-a.rows[i][f]) % q
-        out.append(tuple(v))
-    return Subspace._make(q, n, _rref_q(out, q))
+        v = units[f]
+        for r, p in zip(rows, pivots):
+            if r[f]:
+                v = _axpy(q, -r[f], units[p], v)
+        out.append(v)
+    return Subspace._make(q, n, _rref(q, out))
 
 
 def reverse(a: Subspace) -> Subspace:
     """Image under the coordinate reversal (x_1..x_n) -> (x_n..x_1)."""
     q, n = a.q, a.n
-    if q == 2:
-        rows = [int(format(r, f"0{n}b")[::-1], 2) if r else 0 for r in a.rows]
-        return Subspace._make(q, n, _rref_gf2(rows)) if n else a
-    rows = [tuple(reversed(r)) for r in a.rows]
-    return Subspace._make(q, n, _rref_q(rows, q))
+    rows = [pack_vector(q, n, r[::-1]) for r in a.coeff_rows()]
+    return Subspace._make(q, n, _rref(q, rows))
 
 
 def phi(a: Subspace) -> Subspace:
@@ -388,20 +407,19 @@ def _check_stream_budget(q: int, n: int) -> None:
 
 
 def atom_vectors(a: Subspace) -> Iterator:
-    """Canonical representatives of the 1-dim subspaces of a."""
+    """Canonical representatives of the 1-dim subspaces of a: the vectors
+    whose first nonzero coordinate is 1, in the counting order of
+    `elements`."""
     q = a.q
     if q**a.dim > STREAM_AMBIENT_LIMIT:
         raise BudgetError(f"atom stream over {q}^{a.dim} vectors exceeds the budget")
-    if q == 2:
-        for v in a.elements():
-            if v:
-                yield v
-    else:
-        for v in a.elements():
-            if any(v):
-                nz = next(x for x in v if x)
-                if nz == 1:
-                    yield v
+    # A combination of RREF rows leads with the coefficient of its first
+    # row used, so the atoms over rows[:i+1] are those over rows[:i], then
+    # rows[i], then rows[i] times 1..q-1 added to each earlier atom.
+    found: list = []
+    for r in a.rows:
+        found += [r] + [_axpy(q, c, r, v) for c in range(1, q) for v in found]
+    yield from found
 
 
 def atoms(a: Subspace) -> Iterator[Subspace]:
@@ -409,89 +427,56 @@ def atoms(a: Subspace) -> Iterator[Subspace]:
         yield Subspace._make(a.q, a.n, (v,))
 
 
+@functools.lru_cache(maxsize=None)
+def _functionals(q: int, d: int) -> tuple:
+    """The normalized functionals c on F_q^d, in atom order, each as
+    (pivot p, ((i, -c_i) for the other coordinates i))."""
+    out = []
+    for v in atom_vectors(Subspace.full(q, d)):
+        c = unpack_vector(q, d, v)
+        p = _pivot_index(c)
+        out.append((p, tuple((i, -c[i] % q) for i in range(d) if i != p)))
+    return tuple(out)
+
+
 def codim1_subspaces(a: Subspace) -> Iterator[Subspace]:
     """The hyperplanes of a (inside a), one per functional on its coordinates."""
-    q, d = a.q, a.dim
-    if d == 0:
-        return
-    for c in atom_vectors(Subspace.full(q, d)):
-        if q == 2:
-            p = (c & -c).bit_length() - 1
-            rows = [
-                a.rows[i] ^ a.rows[p] if (c >> i) & 1 else a.rows[i]
-                for i in range(d)
-                if i != p
-            ]
-            yield Subspace._make(q, a.n, _rref_gf2(rows))
-        else:
-            p = _pivot_index(c)
-            rows = [
-                tuple((x - c[i] * y) % q for x, y in zip(a.rows[i], a.rows[p]))
-                for i in range(d)
-                if i != p
-            ]
-            yield Subspace._make(q, a.n, _rref_q(rows, q))
+    q, rows = a.q, a.rows
+    for p, coeffs in _functionals(q, len(rows)):
+        hyperplane = [_axpy(q, c, rows[p], rows[i]) for i, c in coeffs]
+        yield Subspace._make(q, a.n, _rref(q, hyperplane))
 
 
 def covers(a: Subspace) -> Iterator[Subspace]:
-    """Subspaces covering a in the lattice of F_q^n (one dimension up)."""
-    full = Subspace.full(a.q, a.n)
-    if a.dim == a.n:
-        return
-    qm = quotient_map(a, full)
-    for w in atom_vectors(Subspace.full(a.q, qm.dim)):
-        yield a.extend(qm.lift(w))
+    """Subspaces covering a in the lattice of F_q^n (one dimension up): a
+    plus each atom of the complement QuotientMap(a, full space) lifts to."""
+    complement = Subspace._make(a.q, a.n, _complement_rows(a, Subspace.full(a.q, a.n)))
+    for v in atom_vectors(complement):
+        yield a.extend(v)
 
 
 def rref_rows_for_pattern(q: int, n: int, pattern) -> Iterator[tuple]:
     """Canonical bases whose pivots sit exactly at the given columns,
     free entries swept in positional counting order."""
-    k = len(pattern)
-    if k == 0:
-        yield ()
-        return
-    pivset = set(pattern)
-    free = [
-        (i, c)
-        for i in range(k)
-        for c in range(pattern[i] + 1, n)
-        if c not in pivset
-    ]
-    if q == 2:
-        base = [1 << p for p in pattern]
-        if not free:
-            yield tuple(base)
-            return
-        for combo in itertools.product((0, 1), repeat=len(free)):
-            rows = list(base)
-            for (i, c), val in zip(free, combo):
-                if val:
-                    rows[i] |= 1 << c
-            yield tuple(rows)
-    else:
-        base = [[1 if j == p else 0 for j in range(n)] for p in pattern]
-        if not free:
-            yield tuple(tuple(r) for r in base)
-            return
-        for combo in itertools.product(range(q), repeat=len(free)):
-            rows = [list(r) for r in base]
-            for (i, c), val in zip(free, combo):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows)
-
-
-def enumerate_rref_rows(q: int, n: int, k: int) -> Iterator[tuple]:
-    """All canonical bases of k-dim subspaces of F_q^n, one tuple each.
-
-    Deterministic order: pivot patterns lexicographically, then the free
-    entries in positional counting order.
-    """
-    for pattern in itertools.combinations(range(n), k):
-        yield from rref_rows_for_pattern(q, n, pattern)
+    units = _units(q, n)
+    choices = []
+    for p in pattern:
+        # the row pivoted at p: 1 there, anything at later non-pivot
+        # columns, the last column varying fastest
+        row_choices = [units[p]]
+        for c in range(p + 1, n):
+            if c not in pattern:
+                row_choices = [_axpy(q, t, units[c], v) for v in row_choices for t in range(q)]
+        choices.append(row_choices)
+    return itertools.product(*choices)
 
 
 def enumerate_subspaces(q: int, n: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
-    """Every subspace of F_q^n exactly once, grouped by ascending dimension."""
+    """Every subspace of F_q^n exactly once, grouped by ascending dimension.
+
+    Deterministic order within a dimension: pivot patterns
+    lexicographically, then the free entries in positional counting order.
+    """
     _check_q(q)
     _check_stream_budget(q, n)
     if dims is None:
@@ -499,8 +484,9 @@ def enumerate_subspaces(q: int, n: int, dims: Iterable[int] | None = None) -> It
     for k in dims:
         if not 0 <= k <= n:
             raise InputError(f"dimension {k} out of range for ambient {n}")
-        for rows in enumerate_rref_rows(q, n, k):
-            yield Subspace._make(q, n, rows)
+        for pattern in itertools.combinations(range(n), k):
+            for rows in rref_rows_for_pattern(q, n, pattern):
+                yield Subspace._make(q, n, rows)
 
 
 def subspaces_of(a: Subspace, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
@@ -522,7 +508,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     if num % den:
-        raise AssertionError(f"q-binomial [{n} choose {k}]_{q} is not an integer")
+        raise InvariantError(f"q-binomial [{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -540,7 +526,7 @@ def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple
         stratum = list(enumerate_subspaces(q, n, [d]))
         expect = gaussian_binomial(n, d, q)
         if len(stratum) != expect:
-            raise AssertionError(
+            raise InvariantError(
                 f"walk met {len(stratum)} subspaces of dim {d}, expected {expect}"
             )
         yield stratum, [tuple(index[b] for b in codim1_subspaces(s)) for s in stratum]
@@ -564,118 +550,66 @@ def require_materialize_budget(q: int, n: int, limit: int | None = None) -> None
 # ---------------------------------------------------------------------------
 # Quotients B/A with a deterministic complement.
 
+def _complement_rows(sub: Subspace, sup: Subspace) -> tuple:
+    """The rows of sup, in order, that each raise the span of sub and the
+    rows kept before them.  They are RREF rows of sup, so they are
+    themselves a canonical basis."""
+    kept = []
+    probe = sub
+    for r in sup.rows:
+        ext = probe.extend(r)
+        if ext.dim > probe.dim:
+            kept.append(r)
+            probe = ext
+    return tuple(kept)
+
+
 class QuotientMap:
     """Coordinates on B/A for A <= B, via the lexicographically first
     complement drawn from B's canonical basis rows."""
 
-    __slots__ = ("q", "n", "dim", "sub", "sup", "kept", "_elim")
+    __slots__ = ("q", "n", "dim", "sub", "sup", "kept", "_elim", "_lifts")
 
     def __init__(self, sub: Subspace, sup: Subspace):
         _check_same_ambient(sub, sup)
         if not sup.contains(sub):
             raise InputError("quotient requires a nested pair of subspaces")
-        q = sub.q
+        q, n = sub.q, sub.n
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", sub.n)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "sup", sup)
-        kept = []
-        probe = sub
-        for r in sup.rows:
-            ext = probe.extend(r)
-            if ext.dim > probe.dim:
-                kept.append(r)
-                probe = ext
-        object.__setattr__(self, "kept", tuple(kept))
-        object.__setattr__(self, "dim", len(kept))
-        object.__setattr__(self, "_elim", self._build_elim())
+        kept = _complement_rows(sub, sup)
+        k = len(kept)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "dim", k)
+        # Rows of sub carry the tag 0 and kept row i the tag -e_i, so
+        # reducing (v, 0) leaves (0, coordinates of v over kept).  The rows
+        # (e_i, -kept_i) turn (w, 0) into (0, lift of w) the same way.
+        units, zero_k, zero_n = _units(q, k), _zero(q, k), _zero(q, n)
+        elim = [_concat(q, n, r, zero_k) for r in sub.rows]
+        elim += [_concat(q, n, r, _axpy(q, -1, e, zero_k)) for r, e in zip(kept, units)]
+        object.__setattr__(self, "_elim", _rref(q, elim))
+        lifts = tuple(_concat(q, k, e, _axpy(q, -1, r, zero_n)) for r, e in zip(kept, units))
+        object.__setattr__(self, "_lifts", lifts)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientMap is immutable")
 
-    def _build_elim(self):
-        q, k = self.q, len(self.kept)
-        piv = {}
-        if q == 2:
-            items = [(r, 0) for r in self.sub.rows] + [
-                (r, 1 << i) for i, r in enumerate(self.kept)
-            ]
-            for r, a in items:
-                while r:
-                    b = r & -r
-                    got = piv.get(b)
-                    if got is None:
-                        piv[b] = (r, a)
-                        break
-                    r ^= got[0]
-                    a ^= got[1]
-            return piv
-        items = [(list(r), [0] * k) for r in self.sub.rows] + [
-            (list(r), [1 if j == i else 0 for j in range(k)])
-            for i, r in enumerate(self.kept)
-        ]
-        for r, a in items:
-            while True:
-                p = next((i for i, x in enumerate(r) if x), None)
-                if p is None:
-                    break
-                got = piv.get(p)
-                if got is None:
-                    inv = pow(r[p], q - 2, q)
-                    piv[p] = (
-                        [(inv * x) % q for x in r],
-                        [(inv * x) % q for x in a],
-                    )
-                    break
-                f = r[p]
-                pr, pa = got
-                r = [(x - f * y) % q for x, y in zip(r, pr)]
-                a = [(x - f * y) % q for x, y in zip(a, pa)]
-        return piv
-
     def to_quotient(self, v):
         """Coordinates of a vector of sup over the chosen complement."""
-        q = self.q
-        if q == 2:
-            a = 0
-            while v:
-                b = v & -v
-                got = self._elim.get(b)
-                if got is None:
-                    raise InputError("vector outside the covering subspace")
-                v ^= got[0]
-                a ^= got[1]
-            return a
-        a = [0] * self.dim
-        v = list(v)
-        while True:
-            p = next((i for i, x in enumerate(v) if x), None)
-            if p is None:
-                break
-            got = self._elim.get(p)
-            if got is None:
-                raise InputError("vector outside the covering subspace")
-            f = v[p]
-            pr, pa = got
-            v = [(x - f * y) % q for x, y in zip(v, pr)]
-            a = [(x + f * y) % q for x, y in zip(a, pa)]
-        return tuple(a)
+        q, n = self.q, self.n
+        tagged = _concat(q, n, v, _zero(q, self.dim))
+        rest, coords = _split(q, n, _reduce(q, tagged, self._elim))
+        if _nonzero(q, rest):
+            raise InputError("vector outside the covering subspace")
+        return coords
 
     def lift(self, w):
         """The chosen lift of a quotient vector back into sup."""
-        q = self.q
-        if q == 2:
-            v = 0
-            for i, r in enumerate(self.kept):
-                if (w >> i) & 1:
-                    v ^= r
-            return v
-        v = (0,) * self.n
-        for i, r in enumerate(self.kept):
-            c = w[i]
-            if c:
-                v = tuple((x + c * y) % q for x, y in zip(v, r))
-        return v
+        q, k = self.q, self.dim
+        tagged = _concat(q, k, w, _zero(q, self.n))
+        return _split(q, k, _reduce(q, tagged, self._lifts))[1]
 
     def map_subspace(self, w: Subspace) -> Subspace:
         """Image in F_q^dim of a subspace with sub <= w <= sup."""
@@ -688,13 +622,6 @@ class QuotientMap:
             raise InputError("quotient-side subspace has the wrong ambient")
         vectors = list(self.sub.rows) + [self.lift(r) for r in t.rows]
         return Subspace(self.q, self.n, vectors)
-
-
-def quotient_map(sub: Subspace, sup: Subspace) -> QuotientMap:
-    return QuotientMap(sub, sup)
-
-
-quotient_coords = quotient_map
 
 
 # ---------------------------------------------------------------------------
@@ -720,30 +647,23 @@ class DirectSumContext:
 
     def embed1(self, a: Subspace) -> Subspace:
         self._expect(a, self.n1)
-        if self.q == 2:
-            return Subspace._make(self.q, self.n, a.rows)
-        pad = (0,) * self.n2
-        return Subspace._make(self.q, self.n, tuple(tuple(r) + pad for r in a.rows))
+        pad = _zero(self.q, self.n2)
+        rows = tuple(_concat(self.q, self.n1, r, pad) for r in a.rows)
+        return Subspace._make(self.q, self.n, rows)
 
     def embed2(self, a: Subspace) -> Subspace:
         self._expect(a, self.n2)
-        if self.q == 2:
-            return Subspace._make(self.q, self.n, tuple(r << self.n1 for r in a.rows))
-        pad = (0,) * self.n1
-        return Subspace._make(self.q, self.n, tuple(pad + tuple(r) for r in a.rows))
+        pad = _zero(self.q, self.n1)
+        rows = tuple(_concat(self.q, self.n1, pad, r) for r in a.rows)
+        return Subspace._make(self.q, self.n, rows)
 
     def project1(self, a: Subspace) -> Subspace:
         self._expect(a, self.n)
-        if self.q == 2:
-            mask = (1 << self.n1) - 1
-            return Subspace(self.q, self.n1, [r & mask for r in a.rows])
-        return Subspace(self.q, self.n1, [r[: self.n1] for r in a.rows])
+        return Subspace(self.q, self.n1, [_split(self.q, self.n1, r)[0] for r in a.rows])
 
     def project2(self, a: Subspace) -> Subspace:
         self._expect(a, self.n)
-        if self.q == 2:
-            return Subspace(self.q, self.n2, [r >> self.n1 for r in a.rows])
-        return Subspace(self.q, self.n2, [r[self.n1:] for r in a.rows])
+        return Subspace(self.q, self.n2, [_split(self.q, self.n1, r)[1] for r in a.rows])
 
     def slice(self, a: Subspace) -> tuple[Subspace, Subspace]:
         """(a meet first block, projection of a onto the second block).
@@ -751,30 +671,23 @@ class DirectSumContext:
         The two parts satisfy dim(a) = dim(left) + dim(right).
         """
         self._expect(a, self.n)
-        q, n1, n2 = self.q, self.n1, self.n2
-        if q == 2:
-            mask1 = (1 << n1) - 1
-            swapped = [(r >> n1) | ((r & mask1) << n2) for r in a.rows]
-            red = _rref_gf2(swapped)
-            mask2 = (1 << n2) - 1
-            left_rows = [r >> n2 for r in red if not (r & mask2)]
-            left = Subspace(q, n1, left_rows)
-        else:
-            swapped = [tuple(r[n1:]) + tuple(r[:n1]) for r in a.rows]
-            red = _rref_q(swapped, q)
-            left_rows = [r[n2:] for r in red if not any(r[:n2])]
-            left = Subspace(q, n1, left_rows)
+        q, n2 = self.q, self.n2
+        halves = (_split(q, n2, r) for r in _rref(q, self._swapped(a)))
+        left = Subspace(q, self.n1, [first for second, first in halves if not _nonzero(q, second)])
         return left, self.project2(a)
 
     def swap(self, a: Subspace) -> Subspace:
         """Image under the block swap (u, v) -> (v, u)."""
         self._expect(a, self.n)
-        q, n1, n2 = self.q, self.n1, self.n2
-        if q == 2:
-            mask1 = (1 << n1) - 1
-            rows = [(r >> n1) | ((r & mask1) << n2) for r in a.rows]
-            return Subspace(q, self.n, rows)
-        return Subspace(q, self.n, [tuple(r[n1:]) + tuple(r[:n1]) for r in a.rows])
+        return Subspace(self.q, self.n, self._swapped(a))
+
+    def _swapped(self, a: Subspace) -> list:
+        """The rows of a with the two coordinate blocks exchanged."""
+        rows = []
+        for r in a.rows:
+            first, second = _split(self.q, self.n1, r)
+            rows.append(_concat(self.q, self.n2, second, first))
+        return rows
 
     def _expect(self, a: Subspace, n: int) -> None:
         if (a.q, a.n) != (self.q, n):
@@ -790,22 +703,12 @@ def map_by_matrix(a: Subspace, images: Sequence) -> Subspace:
     q, n = a.q, a.n
     if len(images) != n:
         raise InputError("matrix must provide an image for every coordinate")
-    if q == 2:
-        rows = []
-        for r in a.rows:
-            v = 0
-            while r:
-                b = r & -r
-                v ^= images[b.bit_length() - 1]
-                r ^= b
-            rows.append(v)
-        return Subspace(q, n, rows)
     rows = []
     for r in a.rows:
-        v = (0,) * n
-        for i, c in enumerate(r):
+        v = _zero(q, n)
+        for c, image in zip(unpack_vector(q, n, r), images):
             if c:
-                v = tuple((x + c * y) % q for x, y in zip(v, images[i]))
+                v = _axpy(q, c, image, v)
         rows.append(v)
     return Subspace(q, n, rows)
 
@@ -818,14 +721,9 @@ def invert_matrix(q: int, n: int, images: Sequence):
     _check_q(q)
     if len(images) != n:
         raise InputError("matrix must provide an image for every coordinate")
-    if q == 2:
-        red = _rref_gf2(r | (1 << (n + i)) for i, r in enumerate(images))
-        mask = (1 << n) - 1
-        if len(red) != n or any(red[i] & mask != (1 << i) for i in range(n)):
-            raise InputError("matrix is not invertible")
-        return [r >> n for r in red]
-    ind = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    red = _rref_q((tuple(r) + ind[i] for i, r in enumerate(images)), q)
-    if len(red) != n or any(red[i][:n] != ind[i] for i in range(n)):
+    units = _units(q, n)
+    red = _rref(q, [_concat(q, n, r, units[i]) for i, r in enumerate(images)])
+    halves = [_split(q, n, r) for r in red]
+    if len(red) != n or any(left != units[i] for i, (left, _) in enumerate(halves)):
         raise InputError("matrix is not invertible")
-    return [r[n:] for r in red]
+    return [right for _, right in halves]

@@ -2,15 +2,18 @@
 
 Documents are written to tmp_path; stdout is parsed back as JSON where
 the assertions need structure.  Exit codes follow the module contract:
-0 success or true verdict, 1 false verdict, 2 input error, 3 budget.
+0 success or true verdict, 1 false verdict, 2 input error, 3 budget,
+4 failed internal check.
 """
 
 import json
 
 import pytest
 
+from qmatroids import cli
 from qmatroids.cli import VERBS, main
 from qmatroids.constructions import free_product
+from qmatroids.errors import InvariantError
 from qmatroids.qmatroid import QMatroid
 from qmatroids.subspace import Subspace
 
@@ -192,6 +195,17 @@ def test_enumerate_verb(capsys):
 def test_enumerate_budget_exit(capsys):
     assert main(["enumerate", "--n", "4"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_invariant_error_exits_4(capsys, monkeypatch, docs):
+    def broken(args):
+        raise InvariantError("walk met 3 subspaces of dim 1, expected 7")
+
+    monkeypatch.setitem(cli._HANDLERS, "cyclic-flats", broken)
+    assert main(["cyclic-flats", docs["u12"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: walk met 3")
+    assert captured.out == ""
 
 
 def test_input_error_exits(capsys, docs, tmp_path):

@@ -23,7 +23,6 @@ from qmatroids.subspace import (
     orthogonal_complement,
     pack_vector,
     phi,
-    quotient_map,
     reverse,
     subspaces_of,
     sum_subspaces,
@@ -51,7 +50,7 @@ def test_pack_unpack_round_trip():
 
 def test_rref_canonical_under_spanning_set_changes():
     rng = random.Random(17)
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (5, 3)):
         for _ in range(60):
             k = rng.randrange(1, n + 1)
             basis = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
@@ -113,7 +112,7 @@ def test_modular_law_seeded_gf3():
 
 
 def test_orthogonal_complement_laws():
-    for q, n in ((2, 3), (3, 2)):
+    for q, n in ((2, 3), (3, 2), (5, 2)):
         subs = list(enumerate_subspaces(q, n))
         for a in subs:
             c = orthogonal_complement(a)
@@ -126,7 +125,7 @@ def test_orthogonal_complement_laws():
 
 
 def test_reverse_and_phi_are_involutions():
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (5, 3)):
         for a in enumerate_subspaces(q, n):
             assert reverse(reverse(a)) == a
             assert phi(phi(a)) == a
@@ -152,7 +151,7 @@ def test_atoms_codim1_covers_counts():
 
 
 def test_enumerate_subspaces_counts_and_order():
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (5, 3)):
         seen = list(enumerate_subspaces(q, n))
         assert len(seen) == len(set(seen)) == lattice_size(q, n)
         dims = [s.dim for s in seen]
@@ -162,7 +161,7 @@ def test_enumerate_subspaces_counts_and_order():
 
 
 def test_hyperplane_walk_strata_and_ids():
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (5, 3)):
         prev = []
         for d, (stratum, hypers) in enumerate(hyperplane_walk(q, n)):
             assert len(stratum) == gaussian_binomial(n, d, q)
@@ -204,19 +203,21 @@ def test_dict_round_trip_and_rref_rejection():
 
 
 def test_quotient_map_round_trips():
-    sub = span(2, 4, (1, 0, 1, 0))
-    sup = Subspace.full(2, 4)
-    qm = quotient_map(sub, sup)
-    for v in sup.elements():
-        w = qm.to_quotient(v)
-        lifted = qm.lift(w)
-        assert qm.to_quotient(lifted) == w
-        # lift differs from v by an element of the kernel
-        assert sub.contains_vector(v ^ lifted)
-    img = qm.map_subspace(span(2, 4, (0, 1, 0, 0), (1, 0, 1, 0)))
-    assert img.dim == 1
-    pre = qm.preimage(img)
-    assert pre.contains(sub) and pre.dim == img.dim + sub.dim
+    for q, n, kernel in ((2, 4, (1, 0, 1, 0)), (5, 3, (1, 3, 0))):
+        sub = span(q, n, kernel)
+        sup = Subspace.full(q, n)
+        qm = QuotientMap(sub, sup)
+        for v in sup.elements():
+            w = qm.to_quotient(v)
+            lifted = qm.lift(w)
+            assert qm.to_quotient(lifted) == w
+            # lift differs from v by an element of the kernel
+            diff = [a - b for a, b in zip(unpack_vector(q, n, v), unpack_vector(q, n, lifted))]
+            assert sub.contains_vector(pack_vector(q, n, diff))
+        img = qm.map_subspace(span(q, n, (0, 1) + (0,) * (n - 2), kernel))
+        assert img.dim == 1
+        pre = qm.preimage(img)
+        assert pre.contains(sub) and pre.dim == img.dim + sub.dim
 
 
 def test_quotient_map_respects_inclusion():
@@ -255,7 +256,7 @@ def test_slice_dims_add_up():
 
 def test_map_by_matrix_and_inverse():
     rng = random.Random(31)
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (5, 3)):
         ident = [pack_vector(q, n, [1 if j == i else 0 for j in range(n)])
                  for i in range(n)]
         subs = list(enumerate_subspaces(q, n))
