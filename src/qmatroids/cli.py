@@ -10,6 +10,7 @@ failed internal consistency check (a bug, reported on standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -65,14 +66,17 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _load_matroid(path: str, validate: bool = True) -> QMatroid:
-    doc = _read_json(path)
+def _load_matroid(path: str) -> QMatroid:
+    return _matroid_from_doc(_read_json(path))
+
+
+def _matroid_from_doc(doc: dict) -> QMatroid:
     if "builtin" in doc:
         name = doc["builtin"]
         if name == "vamos":
             return vamos_qmatroid(int(doc.get("q", 2)))
         raise InputError(f"unknown builtin q-matroid {name!r}")
-    return QMatroid.from_dict(doc, validate=validate)
+    return QMatroid.from_dict(doc)
 
 
 def _load_subspace(path: str, m: QMatroid) -> Subspace:
@@ -171,14 +175,12 @@ def _lattice_text(rep: dict) -> str:
 def _cmd_verify_axioms(args):
     doc = _read_json(args.doc)
     if "builtin" in doc:
-        m = _load_matroid(args.doc)
-        verdict = check_cyclic_flat_axioms(m.q, m.n, m.certificates())
+        doc = _matroid_from_doc(doc).to_dict()
+    q, n, kind, pairs = parse_document(doc)
+    if kind == "cyclic_flats":
+        verdict = check_cyclic_flat_axioms(q, n, pairs)
     else:
-        q, n, kind, pairs = parse_document(doc)
-        if kind == "cyclic_flats":
-            verdict = check_cyclic_flat_axioms(q, n, pairs)
-        else:
-            verdict = check_rank_axioms(q, n, dict(pairs))
+        verdict = check_rank_axioms(q, n, dict(pairs))
     report = {"ok": verdict.ok, "failures": verdict.failures}
     if verdict.ok:
         text = "all axioms hold"
@@ -373,6 +375,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # building the parser costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, InvariantError
-from .constructions import free_product_chain
+from .constructions import VALIDATE_LATTICE_LIMIT, free_product_chain
 from .qmatroid import QMatroid, rank_tables_equal, transport
 from .subspace import (
     Subspace,
@@ -173,12 +173,12 @@ class FactorizationReport:
         }
 
 
-def primary_factorization(m: QMatroid, validate: bool | None = None) -> FactorizationReport:
+def primary_factorization(m: QMatroid) -> FactorizationReport:
     """Split m along the pinchpoints of its sum/intersection closure.
 
-    validate=None checks the reconstruction (free product of the factors
-    equals m after the adapted change of basis) whenever the ambient
-    lattice is small enough to sweep.
+    The reconstruction (free product of the factors equals m after the
+    adapted change of basis) is checked on the ambients that free_product
+    sweeps too: at most VALIDATE_LATTICE_LIMIT subspaces.
     """
     if m.n == 0:
         raise InputError("cannot factorize a q-matroid on a zero space")
@@ -191,10 +191,8 @@ def primary_factorization(m: QMatroid, validate: bool | None = None) -> Factoriz
         factors.append(factor)
         kinds.append("uniform" if factor.is_uniform() else "irreducible")
         adapted.extend(qm.kept)
-    if validate is None:
-        validate = lattice_size(m.q, m.n) <= 4096
     verified = False
-    if validate and len(factors) >= 1:
+    if lattice_size(m.q, m.n) <= VALIDATE_LATTICE_LIMIT and len(factors) >= 1:
         rebuilt = free_product_chain(factors)
         if not rank_tables_equal(rebuilt, transport(m, adapted)):
             raise InvariantError(

@@ -14,7 +14,8 @@ holds them to that.
 
 Axiom checkers for the three cryptomorphisms in use (rank axioms,
 independence axioms, cyclic-flat axioms) return verdicts carrying the
-violated axiom tag and a witness instead of raising.
+violated axiom tag and a witness instead of raising.  The rank-axiom
+check and the cyclic-flat scan of a rank table are one lattice walk.
 
 A QMatroid value is immutable except for its internal rank memo and the
 cyclic flats a table backing found by scan, whose writes are idempotent
@@ -24,6 +25,7 @@ need no coordination.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, InputError, InvariantError
@@ -99,12 +101,13 @@ class QMatroid:
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_rank_table(cls, q: int, n: int, table, validate: bool = False) -> "QMatroid":
-        table = _rank_table(q, n, table)
+        """table is a mapping or a rank function.  validate=True runs the
+        rank-axiom walk now, raising InputError on a non-q-matroid, and
+        keeps the cyclic flats it finds for certificates()."""
+        m = cls(q, n, table=_rank_table(q, n, table))
         if validate:
-            verdict = check_rank_axioms(q, n, table)
-            if not verdict.ok:
-                raise InputError(f"not a q-matroid: {verdict.message()}")
-        return cls(q, n, table=table)
+            m.certificates()
+        return m
 
     @classmethod
     def from_cyclic_flats(cls, q: int, n: int, flats, validate: bool = True) -> "QMatroid":
@@ -329,6 +332,7 @@ def parse_document(doc: dict):
 
     kind is "cyclic_flats" or "ranks" (the first present wins) and pairs
     lists one (subspace, value) per entry.  A document of the wrong shape
+    (a missing key, a value that is not an integer, a repeated subspace)
     raises InputError; whether the values obey any axioms is left to the
     caller.
     """
@@ -346,12 +350,19 @@ def parse_document(doc: dict):
     if not isinstance(entries, list):
         raise InputError(f"'{kind}' must be a list of entries")
     pairs = []
+    seen = set()
     for entry in entries:
         try:
             space = Subspace.from_dict({"q": q, "n": n, "basis": entry["basis"]})
-            pairs.append((space, int(entry[key])))
+            value = entry[key]
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed '{kind}' entry {entry!r}: {e!r}") from None
+        if type(value) is not int:  # int() would pass True, truncate 1.7 or parse "1"
+            raise InputError(f"'{kind}' entry {entry!r}: {key!r} is not an integer")
+        if space in seen:
+            raise InputError(f"'{kind}' lists the subspace {space.coeff_rows()} twice")
+        seen.add(space)
+        pairs.append((space, value))
     return q, n, kind, pairs
 
 
@@ -434,37 +445,17 @@ class CyclicFlatLattice:
 
 
 def cyclic_flats_by_scan(m: QMatroid):
-    """All cyclic flats of m, found by sweeping the ground lattice.
-
-    One pass per dimension stratum: each subspace reports which of its
-    hyperplanes share its rank, which simultaneously settles cyclicity
-    for the subspace and flatness for the hyperplanes.
-    """
-    out = []
-    prev, prev_ranks, prev_cyclic = [], [], []
-    for stratum, hypers in hyperplane_walk(m.q, m.n):
-        ranks = [m.rank(s) for s in stratum]
-        flat = [True] * len(prev)
-        cyclic = []
-        for rs, hs in zip(ranks, hypers):
-            cyc = True
-            for h in hs:
-                if prev_ranks[h] == rs:
-                    flat[h] = False
-                else:
-                    cyc = False
-            cyclic.append(cyc)
-        out += [(b, rb) for b, rb, c, f in zip(prev, prev_ranks, prev_cyclic, flat) if c and f]
-        prev, prev_ranks, prev_cyclic = stratum, ranks, cyclic
-    # The ground space is flat: nothing covers it.
-    out += [(s, rs) for s, rs, c in zip(prev, prev_ranks, prev_cyclic) if c]
-    out.sort(key=lambda p: p[0].sort_key())
-    return tuple(out)
+    """All cyclic flats of m, by the walk of check_rank_axioms; a rank
+    function that is not a q-matroid raises InputError."""
+    table = m._table if m._table is not None else full_rank_table(m)
+    failures, flats = _rank_walk(m.q, m.n, table)
+    if failures:
+        raise InputError(f"not a q-matroid: {AxiomVerdict(False, failures).message()}")
+    return flats
 
 
 def full_rank_table(m: QMatroid) -> dict[Subspace, int]:
-    require_materialize_budget(m.q, m.n)
-    return {s: m.rank(s) for s in enumerate_subspaces(m.q, m.n)}
+    return _rank_table(m.q, m.n, m.rank)
 
 
 def rank_tables_equal(m1: QMatroid, m2: QMatroid) -> bool:
@@ -481,6 +472,40 @@ def dual_by_definition(m: QMatroid) -> QMatroid:
     return QMatroid.from_rank_table(
         m.q, m.n, lambda a: a.dim - re + m.rank(orthogonal_complement(a))
     )
+
+
+def check_rank_axioms_by_definition(q: int, n: int, table) -> AxiomVerdict:
+    """Independent oracle for (R2) and (R3) on a table that meets (R1):
+    every unordered pair is tested through element masks, and every
+    violated pair is listed."""
+    if q**n > (1 << 13):
+        raise BudgetError("the pairwise rank check needs element masks of at most 2^13 vectors")
+    table = _rank_table(q, n, table)
+    failures: list = []
+    items = [(s, r, s.element_mask()) for s, r in table.items()]
+    rank_by_mask = {mask: r for _, r, mask in items}
+    rank_by_pmask = {
+        orthogonal_complement(s).element_mask(): r for s, r, _ in items
+    }
+    pmask = {mask: orthogonal_complement(s).element_mask() for s, _, mask in items}
+    for i in range(len(items)):
+        si, ri, mi = items[i]
+        pi = pmask[mi]
+        for j in range(i + 1, len(items)):
+            sj, rj, mj = items[j]
+            inter = mi & mj
+            if inter == mi:
+                if ri > rj:
+                    _fail(failures, "(R2)", {"sub": si.to_dict(), "sup": sj.to_dict()})
+                continue
+            if inter == mj:
+                if rj > ri:
+                    _fail(failures, "(R2)", {"sub": sj.to_dict(), "sup": si.to_dict()})
+                continue
+            r_sum = rank_by_pmask[pi & pmask[mj]]
+            if ri + rj < r_sum + rank_by_mask[inter]:
+                _fail(failures, "(R3)", {"a": si.to_dict(), "b": sj.to_dict()})
+    return AxiomVerdict(not failures, failures)
 
 
 def phi_dual(m: QMatroid) -> QMatroid:
@@ -530,65 +555,23 @@ def _rank_table(q: int, n: int, rank_of) -> dict[Subspace, int]:
     return table
 
 
-def check_rank_axioms(q: int, n: int, rank_of, method: str = "auto") -> AxiomVerdict:
+def check_rank_axioms(q: int, n: int, rank_of) -> AxiomVerdict:
     """(R1) boundedness, (R2) monotonicity, (R3) submodularity.
 
-    method "full" checks every unordered pair for (R2)/(R3); "local"
-    checks covers only (monotone steps plus the cover-pair diamond),
-    which is equivalent for functions on the subspace lattice and far
-    cheaper on big tables.  "auto" switches on the table size.
+    rank_of is a rank table or a rank function.  Lists every (R1)
+    failure, else the failures of the first subspace whose covers break
+    (R2) or (R3) in one walk up the lattice (see _rank_walk).
     """
-    table = _rank_table(q, n, rank_of)
-    failures: list = []
-
-    for s, r in table.items():
-        if not 0 <= r <= s.dim:
-            _fail(failures, "(R1)", {"space": s.to_dict(), "rank": r})
-    if failures:
-        return AxiomVerdict(False, failures)
-
-    if method == "auto":
-        method = "full" if len(table) <= 700 else "local"
-    if method == "full":
-        _check_rank_pairs_full(q, n, table, failures)
-    elif method == "local":
-        _check_rank_pairs_local(q, n, table, failures)
-    else:
-        raise InputError(f"unknown rank-axiom method {method!r}")
+    failures, _ = _rank_walk(q, n, _rank_table(q, n, rank_of))
     return AxiomVerdict(not failures, failures)
 
 
-def _check_rank_pairs_full(q, n, table, failures) -> None:
-    if q**n > (1 << 13):
-        raise BudgetError("full pairwise rank check needs element masks; use method='local'")
-    items = [(s, r, s.element_mask()) for s, r in table.items()]
-    rank_by_mask = {mask: r for _, r, mask in items}
-    rank_by_pmask = {
-        orthogonal_complement(s).element_mask(): r for s, r, _ in items
-    }
-    pmask = {mask: orthogonal_complement(s).element_mask() for s, _, mask in items}
-    for i in range(len(items)):
-        si, ri, mi = items[i]
-        pi = pmask[mi]
-        for j in range(i + 1, len(items)):
-            sj, rj, mj = items[j]
-            inter = mi & mj
-            if inter == mi:
-                if ri > rj:
-                    _fail(failures, "(R2)", {"sub": si.to_dict(), "sup": sj.to_dict()})
-                continue
-            if inter == mj:
-                if rj > ri:
-                    _fail(failures, "(R2)", {"sub": sj.to_dict(), "sup": si.to_dict()})
-                continue
-            r_sum = rank_by_pmask[pi & pmask[mj]]
-            if ri + rj < r_sum + rank_by_mask[inter]:
-                _fail(failures, "(R3)", {"a": si.to_dict(), "b": sj.to_dict()})
-
-
-def _check_rank_pairs_local(q, n, table, failures) -> None:
-    # One walk up the lattice checks covers only; with (R1) holding this
-    # gives the verdict of the pairwise sweep.
+def _rank_walk(q: int, n: int, table):
+    """(failures, sorted cyclic flats) of a full rank table; no flats
+    when an axiom fails.  One pass over the hyperplane ids of each S runs
+    its cover steps, settles whether S is cyclic and marks which of its
+    hyperplanes are not flat (those of its rank)."""
+    # With (R1) holding, covers give the verdict of the pairwise sweep.
     #
     # Cover steps, for each hyperplane B of S: r(B) <= r(S) is (R2), and
     # monotone steps give monotonicity.  r(S) <= r(B) + 1 is (R3) on B and
@@ -608,21 +591,37 @@ def _check_rank_pairs_local(q, n, table, failures) -> None:
     # Every cover-step failure outranks a diamond one: after the first
     # broken diamond the walk goes on with cover steps only, and reports
     # the diamond if they all hold.
+    failures: list = []
+    for s, r in table.items():
+        if not 0 <= r <= s.dim:
+            _fail(failures, "(R1)", {"space": s.to_dict(), "rank": r})
+    if failures:
+        return failures, ()
     diamond = None
-    b_spaces, b_ranks, b_hypers, w_ranks = [], [], [], []
+    flats = []
+    b_spaces, b_ranks, b_hypers, b_cyclic, w_ranks = [], [], [], [], []
     for stratum, hypers in hyperplane_walk(q, n):
         ranks = [table[s] for s in stratum]
+        b_flat = [True] * len(b_spaces)
+        cyclic = []
         for s, rs, hs in zip(stratum, ranks, hypers):
+            cyc = True
             for h in hs:
-                b = b_spaces[h]
-                if b_ranks[h] > rs:
-                    _fail(failures, "(R2)", {"sub": b.to_dict(), "sup": s.to_dict()})
-                if rs > b_ranks[h] + 1:
+                rb = b_ranks[h]
+                if rb == rs:
+                    b_flat[h] = False
+                    continue
+                cyc = False
+                if rb > rs:
+                    _fail(failures, "(R2)", {"sub": b_spaces[h].to_dict(), "sup": s.to_dict()})
+                elif rs > rb + 1:
+                    b = b_spaces[h]
                     x = next(v for v in s.rows if not b.contains_vector(v))
                     _fail(failures, "(R3)",
                           {"a": b.to_dict(), "b": Subspace(q, n, [x]).to_dict()})
             if failures:
-                return
+                return failures, ()
+            cyclic.append(cyc)
             if diamond is not None:
                 continue
             above: dict[int, list[int]] = {}
@@ -638,9 +637,14 @@ def _check_rank_pairs_local(q, n, table, failures) -> None:
                 if b_ranks[b] + b_ranks[c] < rs + w_ranks[w]:
                     diamond = {"a": b_spaces[b].to_dict(), "b": b_spaces[c].to_dict()}
                     break
-        b_spaces, b_ranks, b_hypers, w_ranks = stratum, ranks, hypers, b_ranks
+        flats += [(b, rb) for b, rb, c, f in zip(b_spaces, b_ranks, b_cyclic, b_flat) if c and f]
+        b_spaces, b_ranks, b_hypers, b_cyclic, w_ranks = stratum, ranks, hypers, cyclic, b_ranks
     if diamond is not None:
         _fail(failures, "(R3)", diamond)
+        return failures, ()
+    flats += [(s, rs) for s, rs, c in zip(b_spaces, b_ranks, b_cyclic) if c]  # nothing covers E
+    flats.sort(key=lambda p: p[0].sort_key())
+    return failures, tuple(flats)
 
 
 # ---------------------------------------------------------------------------
@@ -964,26 +968,20 @@ def enumerate_qmatroids(q: int, n: int):
     def candidates(s: Subspace):
         if s.dim == 0:
             return [0]
-        hypers = [assignment[b] for b in codim1_subspaces(s)]
+        hl = list(codim1_subspaces(s))
+        hypers = [assignment[b] for b in hl]
         lo = max(hypers)
         hi = min(s.dim, min(hypers) + 1)
         # submodularity across hyperplane pairs
-        hl = list(codim1_subspaces(s))
-        for i in range(len(hl)):
-            for j in range(i + 1, len(hl)):
-                cap = (
-                    assignment[hl[i]]
-                    + assignment[hl[j]]
-                    - assignment[intersect_subspaces(hl[i], hl[j])]
-                )
-                if cap < hi:
-                    hi = cap
+        for b, c in itertools.combinations(hl, 2):
+            cap = assignment[b] + assignment[c] - assignment[intersect_subspaces(b, c)]
+            hi = min(hi, cap)
         return range(lo, hi + 1)
 
     def walk(i: int):
         if i == len(subs):
             table = dict(assignment)
-            if check_rank_axioms(q, n, table, method="full").ok:
+            if check_rank_axioms(q, n, table).ok:
                 m = QMatroid(q, n, table=table)
                 if not any(is_isomorphic(m, r).kind == "yes" for r in reps):
                     reps.append(m)

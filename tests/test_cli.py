@@ -65,6 +65,10 @@ def test_all_verbs_are_wired():
     assert len(VERBS) == 18
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_axioms_true_and_false(capsys, docs, tmp_path):
     code, rep = run_json(capsys, ["verify-axioms", docs["u12"]])
     assert code == 0 and rep["ok"] and rep["failures"] == []
@@ -224,7 +228,12 @@ def test_input_error_exits(capsys, docs, tmp_path):
     {"q": 2, "n": 1, "cyclic_flats": [{"basis": []}]},
     {"q": 2, "n": 1, "cyclic_flats": "xx"},
     {"q": 2, "n": -1, "cyclic_flats": []},
-], ids=["rank-entry-without-r", "flat-without-rank", "flats-not-a-list", "negative-n"])
+    {"q": 2, "n": 1, "ranks": [{"basis": [], "r": 0}, {"basis": [[1]], "r": 1},
+                               {"basis": [[1]], "r": 0}]},
+    {"q": 2, "n": 2, "cyclic_flats": [{"basis": [], "rank": 0},
+                                      {"basis": [[1, 0], [0, 1]], "rank": 1.7}]},
+], ids=["rank-entry-without-r", "flat-without-rank", "flats-not-a-list", "negative-n",
+        "repeated-subspace", "non-integer-rank"])
 def test_malformed_documents_exit_2(capsys, tmp_path, doc):
     path = write(tmp_path, "bad.json", doc)
     for verb in ("verify-axioms", "cyclic-flats"):

@@ -1,8 +1,8 @@
 """Core q-matroid behavior: axioms, closure, duality, minors, isomorphism.
 
 Derived values are checked against a second, independent route wherever
-one exists (definitional dual vs certificate-transform dual, full vs
-local axiom checkers, certificate-backed vs table-backed ranks).
+one exists (definitional dual vs certificate-transform dual, pairwise vs
+walk axiom checkers, certificate-backed vs table-backed ranks).
 """
 
 import itertools
@@ -10,12 +10,14 @@ import random
 
 import pytest
 
+from qmatroids import qmatroid
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.qmatroid import (
     QMatroid,
     check_cyclic_flat_axioms,
     check_independence_axioms,
     check_rank_axioms,
+    check_rank_axioms_by_definition,
     cyclic_flats_by_scan,
     dual_by_definition,
     enumerate_qmatroids,
@@ -29,6 +31,7 @@ from qmatroids.subspace import (
     Subspace,
     codim1_subspaces,
     enumerate_subspaces,
+    hyperplane_walk,
     intersect_subspaces,
     invert_matrix,
     orthogonal_complement,
@@ -137,11 +140,22 @@ def test_full_and_local_rank_checkers_agree():
                 s = rng.choice(spaces)
                 bump = rng.choice((-1, 1))
                 table[s] = max(0, min(s.dim, table[s] + bump))
-            ok_full = check_rank_axioms(m.q, m.n, table, method="full").ok
-            local = check_rank_axioms(m.q, m.n, table, method="local")
-            assert ok_full == local.ok
+            full = check_rank_axioms_by_definition(m.q, m.n, table)
+            local = check_rank_axioms(m.q, m.n, table)
+            assert full.ok == local.ok
+            # the walk stops at the first failing subspace, so it may
+            # name fewer axioms than the pairwise sweep, never others
+            assert local.failed_axioms() <= full.failed_axioms()
             for failure in local.failures:
                 assert _is_real_violation(table, failure), failure
+            scanned = QMatroid(m.q, m.n, table=table)
+            if local.ok:
+                flats = cyclic_flats_by_scan(scanned)
+                rebuilt = QMatroid.from_cyclic_flats(m.q, m.n, flats)
+                assert rank_tables_equal(rebuilt, scanned)
+            else:
+                with pytest.raises(InputError):
+                    cyclic_flats_by_scan(scanned)
 
 
 def test_independence_axioms_positive():
@@ -228,6 +242,24 @@ def test_table_backing_scans_once():
     first = m.certificates()
     assert m.cyclic_flats().pairs == first
     assert m.certificates() is first
+
+
+def test_validated_ranks_document_walks_once(monkeypatch):
+    # F_2^6 has 2825 subspaces; the validation walk also finds the flats
+    m = QMatroid.from_cyclic_flats(2, 6, [
+        (span(2, 6), 0), (span(2, 6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)), 1),
+        (Subspace.full(2, 6), 3)])
+    doc = {"q": 2, "n": 6, "ranks": [
+        {"basis": s.coeff_rows(), "r": r} for s, r in full_rank_table(m).items()]}
+    walks = []
+
+    def counting_walk(q, n):
+        walks.append((q, n))
+        return hyperplane_walk(q, n)
+
+    monkeypatch.setattr(qmatroid, "hyperplane_walk", counting_walk)
+    assert QMatroid.from_dict(doc, validate=True).certificates() == m.certificates()
+    assert walks == [(2, 6)]
 
 
 def test_from_cyclic_flats_validates():

@@ -16,3 +16,19 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_function_walks_the_hyperplanes():
+    # the rank-axiom check and the cyclic-flat scan share one walk; a
+    # second walk loop would sweep the same lattice twice
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "hyperplane_walk" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"qmatroid.py:_rank_walk"}
