@@ -193,7 +193,7 @@ def _cmd_verify_axioms(args):
 def _vamos_scan_lattice(args, m: QMatroid):
     if m.to_dict() != vamos_qmatroid(m.q).to_dict():
         raise InputError("--budget vamos only applies to the builtin vamos input")
-    pairs = vamos_cyclic_flats_scan(m.q, workers=args.workers, progress=True)
+    pairs = vamos_cyclic_flats_scan(m.q, progress=True)
     return QMatroid.from_cyclic_flats(m.q, m.n, pairs, validate=False)
 
 

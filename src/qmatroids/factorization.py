@@ -11,28 +11,23 @@ after the change of basis that straightens the flag into coordinate
 blocks.
 
 The Vámos q-matroid lives here too, as the stock example of an
-irreducible q-matroid, together with a streaming full-lattice scan of
-its cyclic flats that does not trust the certificate construction.
+irreducible q-matroid.  Its cyclic flats can be re-derived without
+trusting the certificate construction, by the rank-axiom walk that every
+rank table uses, run on the defining rank function over all of F_2^8.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, InvariantError
 from .constructions import VALIDATE_LATTICE_LIMIT, free_product_chain
-from .qmatroid import QMatroid, rank_tables_equal, transport
+from .qmatroid import QMatroid, _rank_walk, rank_tables_equal, transport
 from .subspace import (
     Subspace,
-    codim1_subspaces,
-    covers,
     enumerate_subspaces,
-    gaussian_binomial,
     intersect_subspaces,
     lattice_size,
-    rref_rows_for_pattern,
     sum_subspaces,
     unpack_vector,
 )
@@ -245,79 +240,22 @@ def vamos_qmatroid(q: int = 2) -> QMatroid:
     return QMatroid.from_cyclic_flats(q, 8, pairs, validate=True)
 
 
-def _vamos_scan_chunk(args):
-    q, k, pattern_lo, pattern_hi = args
-    designated = set(vamos_designated_spaces(q))
+def vamos_cyclic_flats_scan(q: int = 2, progress: bool = False):
+    """Find every cyclic flat of the Vámos q-matroid by walking the whole
+    lattice of F_q^8 with the defining rank function.
 
-    def rank_of(a):
-        if a.dim <= 3:
-            return a.dim
-        return 3 if a in designated else 4
-
-    found = []
-    count = 0
-    patterns = list(itertools.combinations(range(8), k))[pattern_lo:pattern_hi]
-    for pattern in patterns:
-        for rows in rref_rows_for_pattern(q, 8, pattern):
-            s = Subspace._make(q, 8, rows)
-            count += 1
-            r = rank_of(s)
-            cyclic = all(rank_of(b) == r for b in codim1_subspaces(s))
-            if not cyclic:
-                continue
-            if all(rank_of(c) > r for c in covers(s)):
-                found.append((s, r))
-    return k, found, count
-
-
-def vamos_cyclic_flats_scan(q: int = 2, workers: int = 1, progress: bool = False):
-    """Find every cyclic flat of the Vámos q-matroid by sweeping the
-    whole lattice of F_q^8 with the defining rank function.
-
-    Returns the sorted (space, rank) list.  Independent of the
-    certificate constructor; positives are re-verified against it, and
-    per-dimension subspace counts are checked against the Gaussian
-    binomials.
+    Returns the sorted (space, rank) pairs.  Independent of the
+    certificate constructor: the rank-axiom walk of every rank table
+    (see qmatroid._rank_walk) runs on vamos_rank, streaming the strata
+    and checking each stratum's size against the Gaussian binomial; every
+    positive is then re-verified against the certificates.  progress=True
+    prints a line to stderr per finished stratum.
     """
-    tasks = []
-    for k in range(9):
-        npat = len(list(itertools.combinations(range(8), k)))
-        step = max(1, npat // max(workers * 4, 1))
-        lo = 0
-        while lo < npat:
-            hi = min(npat, lo + step)
-            tasks.append((q, k, lo, hi))
-            lo = hi
-    found: list = []
-    per_dim = [0] * 9
-    done = 0
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            for k, part, count in pool.imap_unordered(_vamos_scan_chunk, tasks):
-                found.extend(part)
-                per_dim[k] += count
-                done += 1
-                if progress:
-                    print(f"scan: {done}/{len(tasks)} chunks, {sum(per_dim)} subspaces", file=sys.stderr)
-    else:
-        for t in tasks:
-            k, part, count = _vamos_scan_chunk(t)
-            found.extend(part)
-            per_dim[k] += count
-            done += 1
-            if progress and done % 8 == 0:
-                print(f"scan: {done}/{len(tasks)} chunks, {sum(per_dim)} subspaces", file=sys.stderr)
-    for k in range(9):
-        expect = gaussian_binomial(8, k, q)
-        if per_dim[k] != expect:
-            raise InvariantError(
-                f"scan visited {per_dim[k]} subspaces of dim {k}, expected {expect}"
-            )
+    failures, found = _rank_walk(q, 8, vamos_rank(q), progress=progress)
+    if failures:
+        raise InvariantError(f"the Vámos rank function fails {failures[0]['axiom']}")
     oracle = vamos_qmatroid(q)
     for s, r in found:
         if oracle.rank(s) != r or not oracle.is_cyclic(s) or not oracle.is_flat(s):
             raise InvariantError(f"scan positive {s.coeff_rows()} failed re-verification")
-    found.sort(key=lambda p: p[0].sort_key())
     return found

@@ -26,9 +26,10 @@ need no coordination.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import BudgetError, InputError
 from .subspace import (
     QuotientMap,
     Subspace,
@@ -44,6 +45,7 @@ from .subspace import (
     orthogonal_complement,
     pack_vector,
     phi,
+    read_header,
     require_materialize_budget,
     sum_subspaces,
     vector_index,
@@ -336,10 +338,7 @@ def parse_document(doc: dict):
     raises InputError; whether the values obey any axioms is left to the
     caller.
     """
-    try:
-        q, n = int(doc["q"]), int(doc["n"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed q-matroid document: {e}") from None
+    q, n = read_header(doc, "q-matroid")
     Subspace.zero(q, n)  # rejects a bad field size or a negative dimension
     for kind, key in (("cyclic_flats", "rank"), ("ranks", "r")):
         if kind in doc:
@@ -448,7 +447,7 @@ def cyclic_flats_by_scan(m: QMatroid):
     """All cyclic flats of m, by the walk of check_rank_axioms; a rank
     function that is not a q-matroid raises InputError."""
     table = m._table if m._table is not None else full_rank_table(m)
-    failures, flats = _rank_walk(m.q, m.n, table)
+    failures, flats = _walk_table(m.q, m.n, table)
     if failures:
         raise InputError(f"not a q-matroid: {AxiomVerdict(False, failures).message()}")
     return flats
@@ -562,15 +561,29 @@ def check_rank_axioms(q: int, n: int, rank_of) -> AxiomVerdict:
     failure, else the failures of the first subspace whose covers break
     (R2) or (R3) in one walk up the lattice (see _rank_walk).
     """
-    failures, _ = _rank_walk(q, n, _rank_table(q, n, rank_of))
+    failures, _ = _walk_table(q, n, _rank_table(q, n, rank_of))
     return AxiomVerdict(not failures, failures)
 
 
-def _rank_walk(q: int, n: int, table):
-    """(failures, sorted cyclic flats) of a full rank table; no flats
-    when an axiom fails.  One pass over the hyperplane ids of each S runs
-    its cover steps, settles whether S is cyclic and marks which of its
-    hyperplanes are not flat (those of its rank)."""
+def _walk_table(q: int, n: int, table):
+    """_rank_walk on a full rank table, once every entry meets (R1); else
+    the (R1) failures in table order."""
+    failures: list = []
+    for s, r in table.items():
+        if not 0 <= r <= s.dim:
+            _fail(failures, "(R1)", {"space": s.to_dict(), "rank": r})
+    if failures:
+        return failures, ()
+    return _rank_walk(q, n, table.__getitem__)
+
+
+def _rank_walk(q: int, n: int, rank_of, progress: bool = False):
+    """(failures, sorted cyclic flats) of a rank function on F_q^n that
+    meets (R1); no flats when an axiom fails.  The lattice is streamed
+    one stratum at a time, so no table of it is held.  One pass over the
+    hyperplane ids of each S runs its cover steps, settles whether S is
+    cyclic and marks which of its hyperplanes are not flat (those of its
+    rank).  progress=True prints a line to stderr per finished stratum."""
     # With (R1) holding, covers give the verdict of the pairwise sweep.
     #
     # Cover steps, for each hyperplane B of S: r(B) <= r(S) is (R2), and
@@ -584,61 +597,59 @@ def _rank_walk(q: int, n: int, table):
     # in a codimension-2 subspace W of S, and each W lies in exactly q + 1
     # hyperplanes of S, any two of which meet in W and span S.  So every
     # pair at (S, W) holds exactly when the two smallest ranks among those
-    # q + 1 hyperplanes sum to at least r(S) + r(W): one inequality per W
-    # instead of one per pair.  W is a hyperplane id shared by hyperplanes
+    # q + 1 hyperplanes sum to at least r(S) + r(W).  Once the cover steps
+    # up to S hold, each B has r(B) = r(S) or r(S) - 1 and r(W) <= r(B), so
+    # (S, W) fails exactly when W lies in two hyperplanes of rank r(S) - 1
+    # and r(W) > r(S) - 2.  Only those rank-dropping hyperplanes are
+    # visited; a cyclic S has none, and r(S) = dim S gives
+    # r(W) <= dim W = r(S) - 2.  W is a hyperplane id shared by hyperplanes
     # of S, so no intersection is computed.
     #
     # Every cover-step failure outranks a diamond one: after the first
     # broken diamond the walk goes on with cover steps only, and reports
     # the diamond if they all hold.
     failures: list = []
-    for s, r in table.items():
-        if not 0 <= r <= s.dim:
-            _fail(failures, "(R1)", {"space": s.to_dict(), "rank": r})
-    if failures:
-        return failures, ()
     diamond = None
     flats = []
     b_spaces, b_ranks, b_hypers, b_cyclic, w_ranks = [], [], [], [], []
-    for stratum, hypers in hyperplane_walk(q, n):
-        ranks = [table[s] for s in stratum]
+    for d, (stratum, hypers) in enumerate(hyperplane_walk(q, n)):
+        ranks = [rank_of(s) for s in stratum]
         b_flat = [True] * len(b_spaces)
         cyclic = []
         for s, rs, hs in zip(stratum, ranks, hypers):
-            cyc = True
+            drops = []
             for h in hs:
                 rb = b_ranks[h]
                 if rb == rs:
                     b_flat[h] = False
-                    continue
-                cyc = False
-                if rb > rs:
+                elif rb > rs:
                     _fail(failures, "(R2)", {"sub": b_spaces[h].to_dict(), "sup": s.to_dict()})
                 elif rs > rb + 1:
                     b = b_spaces[h]
                     x = next(v for v in s.rows if not b.contains_vector(v))
                     _fail(failures, "(R3)",
                           {"a": b.to_dict(), "b": Subspace(q, n, [x]).to_dict()})
+                else:
+                    drops.append(h)
             if failures:
                 return failures, ()
-            cyclic.append(cyc)
-            if diamond is not None:
+            cyclic.append(not drops)
+            if diamond is not None or len(drops) < 2 or rs == d:
                 continue
             above: dict[int, list[int]] = {}
-            for h in hs:
+            for h in drops:
                 for w in b_hypers[h]:
                     above.setdefault(w, []).append(h)
-            for w, bs in above.items():
-                if len(bs) != q + 1:
-                    raise InvariantError(
-                        f"codimension-2 subspace in {len(bs)} hyperplanes, expected {q + 1}"
-                    )
-                b, c = sorted(bs, key=b_ranks.__getitem__)[:2]
-                if b_ranks[b] + b_ranks[c] < rs + w_ranks[w]:
-                    diamond = {"a": b_spaces[b].to_dict(), "b": b_spaces[c].to_dict()}
-                    break
+            broken = {w for w, bs in above.items() if len(bs) > 1 and w_ranks[w] > rs - 2}
+            if broken:
+                # the W that a pass over every hyperplane of S meets first
+                w = next(w for h in hs for w in b_hypers[h] if w in broken)
+                b, c = above[w][:2]
+                diamond = {"a": b_spaces[b].to_dict(), "b": b_spaces[c].to_dict()}
         flats += [(b, rb) for b, rb, c, f in zip(b_spaces, b_ranks, b_cyclic, b_flat) if c and f]
         b_spaces, b_ranks, b_hypers, b_cyclic, w_ranks = stratum, ranks, hypers, cyclic, b_ranks
+        if progress:
+            print(f"walk: stratum {d} of {n} done, {len(stratum)} subspaces", file=sys.stderr)
     if diamond is not None:
         _fail(failures, "(R3)", diamond)
         return failures, ()

@@ -325,9 +325,10 @@ class Subspace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Subspace":
+        q, n = read_header(doc, "subspace")
         try:
-            q, n, basis = int(doc["q"]), int(doc["n"]), doc["basis"]
-        except (KeyError, TypeError, ValueError) as e:
+            basis = doc["basis"]
+        except KeyError as e:
             raise InputError(f"malformed subspace document: {e}") from None
         given = [pack_vector(q, n, row) for row in basis]
         s = cls(q, n, given)
@@ -337,6 +338,19 @@ class Subspace:
                 f"increasing pivots; canonical form of the given span is {s.coeff_rows()}"
             )
         return s
+
+
+def read_header(doc: dict, kind: str) -> tuple[int, int]:
+    """(q, n) of a document.  Both must be JSON integers: int() would pass
+    a bool, truncate 2.9 or parse "1"."""
+    try:
+        q, n = doc["q"], doc["n"]
+    except (KeyError, TypeError) as e:
+        raise InputError(f"malformed {kind} document: {e}") from None
+    for key, x in (("q", q), ("n", n)):
+        if type(x) is not int:
+            raise InputError(f"{kind} document: {key!r} is not an integer, got {x!r}")
+    return q, n
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -429,22 +443,33 @@ def atoms(a: Subspace) -> Iterator[Subspace]:
 
 @functools.lru_cache(maxsize=None)
 def _functionals(q: int, d: int) -> tuple:
-    """The normalized functionals c on F_q^d, in atom order, each as
-    (pivot p, ((i, -c_i) for the other coordinates i))."""
+    """The functionals c on F_q^d, one per hyperplane in atom order, each
+    scaled so that its last nonzero coordinate p is 1, as
+    (p, (-c_i for i < p))."""
     out = []
     for v in atom_vectors(Subspace.full(q, d)):
         c = unpack_vector(q, d, v)
-        p = _pivot_index(c)
-        out.append((p, tuple((i, -c[i] % q) for i in range(d) if i != p)))
+        p = max(i for i, x in enumerate(c) if x)
+        inv = pow(c[p], q - 2, q)
+        out.append((p, tuple(-c[i] * inv % q for i in range(p))))
     return tuple(out)
+
+
+def _hyperplane_rows(q: int, rows: tuple) -> Iterator[tuple]:
+    """The canonical rows of each hyperplane of the span of the RREF rows,
+    one per functional c.  With c_p = 1 at the last nonzero coordinate p,
+    the rows rows[i] - c_i*rows[p] (i != p) are already in RREF: each
+    keeps the pivot of rows[i] (left of row p's pivot when c_i != 0),
+    and rows[p] is zero at every other pivot.  Rows after p are unchanged."""
+    for p, coeffs in _functionals(q, len(rows)):
+        rp = rows[p]
+        yield tuple([_axpy(q, c, rp, r) if c else r for c, r in zip(coeffs, rows)]) + rows[p + 1:]
 
 
 def codim1_subspaces(a: Subspace) -> Iterator[Subspace]:
     """The hyperplanes of a (inside a), one per functional on its coordinates."""
-    q, rows = a.q, a.rows
-    for p, coeffs in _functionals(q, len(rows)):
-        hyperplane = [_axpy(q, c, rows[p], rows[i]) for i, c in coeffs]
-        yield Subspace._make(q, a.n, _rref(q, hyperplane))
+    for rows in _hyperplane_rows(a.q, a.rows):
+        yield Subspace._make(a.q, a.n, rows)
 
 
 def covers(a: Subspace) -> Iterator[Subspace]:
@@ -518,10 +543,11 @@ def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple
     Yields (stratum, hyperplanes) for d = 0..n: the d-dimensional
     subspaces in enumeration order, and for each of them the ids
     (positions in the previous stratum) of its hyperplanes, in
-    codim1_subspaces order.  Each subspace costs one codim1_subspaces
-    pass, and the walk itself holds at most two adjacent strata.
+    codim1_subspaces order.  Hyperplanes are looked up by their rows, so
+    no elimination runs, and the walk itself holds at most two adjacent
+    strata.
     """
-    index: dict[Subspace, int] = {}
+    index: dict[tuple, int] = {}
     for d in range(n + 1):
         stratum = list(enumerate_subspaces(q, n, [d]))
         expect = gaussian_binomial(n, d, q)
@@ -529,8 +555,12 @@ def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple
             raise InvariantError(
                 f"walk met {len(stratum)} subspaces of dim {d}, expected {expect}"
             )
-        yield stratum, [tuple(index[b] for b in codim1_subspaces(s)) for s in stratum]
-        index = {s: i for i, s in enumerate(stratum)}
+        try:
+            hypers = [tuple([index[h] for h in _hyperplane_rows(q, s.rows)]) for s in stratum]
+        except KeyError as e:
+            raise InvariantError(f"hyperplane rows {e} are not in the stratum below") from None
+        yield stratum, hypers
+        index = {s.rows: i for i, s in enumerate(stratum)}
 
 
 def lattice_size(q: int, n: int) -> int:

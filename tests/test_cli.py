@@ -232,13 +232,22 @@ def test_input_error_exits(capsys, docs, tmp_path):
                                {"basis": [[1]], "r": 0}]},
     {"q": 2, "n": 2, "cyclic_flats": [{"basis": [], "rank": 0},
                                       {"basis": [[1, 0], [0, 1]], "rank": 1.7}]},
+    {"q": 2.9, "n": "1", "ranks": [{"basis": [], "r": 0}, {"basis": [[1]], "r": 1}]},
+    {"q": 2.0, "n": True, "ranks": [{"basis": [], "r": 0}, {"basis": [[1]], "r": 1}]},
 ], ids=["rank-entry-without-r", "flat-without-rank", "flats-not-a-list", "negative-n",
-        "repeated-subspace", "non-integer-rank"])
+        "repeated-subspace", "non-integer-rank", "float-and-string-header",
+        "float-and-bool-header"])
 def test_malformed_documents_exit_2(capsys, tmp_path, doc):
     path = write(tmp_path, "bad.json", doc)
     for verb in ("verify-axioms", "cyclic-flats"):
         assert main([verb, path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_subspace_document_exits_2(capsys, docs, tmp_path):
+    space = write(tmp_path, "space.json", {"q": 2.0, "n": 2, "basis": [[1, 0]]})
+    assert main(["rank", docs["u12"], space]) == 2
+    assert "'q' is not an integer" in capsys.readouterr().err
 
 
 def test_budget_vamos_guard(capsys, docs):

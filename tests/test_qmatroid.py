@@ -128,8 +128,16 @@ def _is_real_violation(table, failure) -> bool:
         table[sum_subspaces(a, b)] + table[intersect_subspaces(a, b)])
 
 
+def _covers_hold(table) -> bool:
+    """(R1) and every cover step r(B) <= r(S) <= r(B) + 1 hold, so only a
+    diamond can break the table."""
+    return all(0 <= r <= s.dim for s, r in table.items()) and all(
+        table[b] <= r <= table[b] + 1 for s, r in table.items() for b in codim1_subspaces(s))
+
+
 def test_full_and_local_rank_checkers_agree():
     rng = random.Random(41)
+    diamond_only = 0
     for m, trials in ((U(2, 3, 2), 80), (U(3, 3, 2), 40), (U(3, 3, 1), 40),
                       (U(2, 4, 2), 40), (diagonal_flat_matroid(), 40)):
         base = full_rank_table(m)
@@ -156,6 +164,10 @@ def test_full_and_local_rank_checkers_agree():
             else:
                 with pytest.raises(InputError):
                     cyclic_flats_by_scan(scanned)
+                diamond_only += _covers_hold(table)
+    # the walk tests diamonds only where one can fail; some trials must
+    # fail there alone, or that pruning goes unchecked
+    assert diamond_only > 0
 
 
 def test_independence_axioms_positive():

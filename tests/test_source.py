@@ -1,9 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import qmatroids
+from qmatroids.factorization import vamos_cyclic_flats_scan
 
 SRC = Path(qmatroids.__file__).parent
 
@@ -32,3 +34,21 @@ def test_one_function_walks_the_hyperplanes():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.name}:{fn.name}")
     assert callers == {"qmatroid.py:_rank_walk"}
+
+
+def test_one_module_starts_processes():
+    # the coupling search keeps the one process pool; the Vámos scan is
+    # the rank walk on one process and has no workers to set
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                importers.add(path.name)
+    assert importers == {"representation.py"}
+    assert "workers" not in inspect.signature(vamos_cyclic_flats_scan).parameters

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -160,16 +161,42 @@ def test_enumerate_subspaces_counts_and_order():
             assert dims.count(k) == gaussian_binomial(n, k, q)
 
 
+def _kernel_hyperplanes(s):
+    """The hyperplanes of s, one per functional c on its coordinates in
+    atom order (first nonzero entry 1, coordinate 0 counting fastest),
+    each spanned by every combination of s's rows that c kills and
+    brought to canonical form by Subspace's own elimination."""
+    q, n, rows = s.q, s.n, s.coeff_rows()
+    coords = [t[::-1] for t in itertools.product(range(q), repeat=s.dim)]
+    out = []
+    for c in coords:
+        if next((x for x in c if x), 0) != 1:
+            continue
+        kernel = [[sum(x * r[j] for x, r in zip(xs, rows)) % q for j in range(n)]
+                  for xs in coords if sum(a * b for a, b in zip(c, xs)) % q == 0]
+        out.append(Subspace.from_coeff_rows(q, n, kernel))
+    return out
+
+
 def test_hyperplane_walk_strata_and_ids():
-    for q, n in ((2, 4), (3, 3), (5, 3)):
-        prev = []
+    for q, n in ((2, 4), (3, 3), (3, 4), (5, 3)):
+        prev, prev_ids = [], []
         for d, (stratum, hypers) in enumerate(hyperplane_walk(q, n)):
             assert len(stratum) == gaussian_binomial(n, d, q)
             assert stratum == list(enumerate_subspaces(q, n, [d]))
             assert len(hypers) == len(stratum)
             for s, ids in zip(stratum, hypers):
-                assert [prev[i] for i in ids] == list(codim1_subspaces(s))
-            prev = stratum
+                found = [prev[i] for i in ids]
+                assert found == _kernel_hyperplanes(s) == list(codim1_subspaces(s))
+                if d:
+                    assert len(set(found)) == len(found)
+                    assert set(found) == set(subspaces_of(s, [d - 1]))
+                # each codimension-2 subspace of s lies in exactly q + 1 of
+                # its hyperplanes, the count the diamond rule rests on
+                below = Counter(w for i in ids for w in prev_ids[i])
+                assert len(below) == gaussian_binomial(d, 2, q)
+                assert set(below.values()) <= {q + 1}
+            prev, prev_ids = stratum, hypers
         assert d == n
 
 
