@@ -40,7 +40,7 @@ from .representation import (
     search_x,
     verify_free_product_rep,
 )
-from .subspace import Subspace
+from .subspace import Subspace, json_int
 
 VERBS = (
     "verify-axioms", "cyclic-flats", "rank", "free-product", "direct-sum",
@@ -74,7 +74,7 @@ def _matroid_from_doc(doc: dict) -> QMatroid:
     if "builtin" in doc:
         name = doc["builtin"]
         if name == "vamos":
-            return vamos_qmatroid(int(doc.get("q", 2)))
+            return vamos_qmatroid(json_int(doc.get("q", 2), "q", "builtin"))
         raise InputError(f"unknown builtin q-matroid {name!r}")
     return QMatroid.from_dict(doc)
 
@@ -100,9 +100,9 @@ def _load_matrix(path: str, modulus: str | None) -> Matrix:
     doc = _read_json(path)
     try:
         fdoc = doc["field"]
-        q, m = int(fdoc["q"]), int(fdoc["m"])
+        q, m = json_int(fdoc["q"], "q", "matrix"), json_int(fdoc["m"], "m", "matrix")
         rows = doc["rows"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise InputError(f"malformed matrix document {path}: {e}") from None
     coeffs = _parse_modulus(modulus) if modulus else fdoc.get("modulus")
     field = ext_field_new(q, m, coeffs)

@@ -1,12 +1,12 @@
 """Splitting q-matroids into free products.
 
 A subspace is a free separator when every cyclic flat is comparable to
-it.  Closing the cyclic flats under sums and intersections (plus the
-zero and full spaces, the empty-family sum and intersection) gives a
-small sublattice whose pinchpoints, the elements comparable to
-everything, line up in a chain: the primary flag.  Interval minors
-between consecutive flag entries are the primary factors, each uniform
-or irreducible, and their free product rebuilds the original q-matroid
+it.  The primary flag is the chain of free separators that lie in the
+closure of the cyclic flats, 0 and E under sums and intersections; it is
+read off in one pass over the cyclic flats sorted by dimension, without
+building the closure (see pinchpoints).  Interval minors between
+consecutive flag entries are the primary factors, each uniform or
+irreducible, and their free product rebuilds the original q-matroid
 after the change of basis that straightens the flag into coordinate
 blocks.
 
@@ -18,9 +18,10 @@ rank table uses, run on the defining rank function over all of F_2^8.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import InputError, InvariantError
 from .constructions import VALIDATE_LATTICE_LIMIT, free_product_chain
 from .qmatroid import QMatroid, _rank_walk, rank_tables_equal, transport
 from .subspace import (
@@ -32,20 +33,12 @@ from .subspace import (
     unpack_vector,
 )
 
-# The sum/intersection closure is computed by pairwise fixpoint, which
-# stays tractable only for small cyclic-flat families.
-DM_FLATS_LIMIT = 24
-
-
-def _comparable(a: Subspace, b: Subspace) -> bool:
-    return a.contains(b) or b.contains(a)
-
 
 def is_free_separator(m: QMatroid, a: Subspace) -> bool:
     """True when every cyclic flat of m is comparable to a."""
     if (a.q, a.n) != (m.q, m.n):
         raise InputError("separator candidate lives in the wrong ambient")
-    return all(_comparable(a, z) for z, _ in m.certificates())
+    return all(a.contains(z) or z.contains(a) for z, _ in m.certificates())
 
 
 def free_separators(m: QMatroid):
@@ -55,67 +48,31 @@ def free_separators(m: QMatroid):
             yield a
 
 
-class DmLattice:
-    """The cyclic flats closed under sums and intersections.
+def pinchpoints(m: QMatroid) -> list[Subspace]:
+    """The primary flag: the free separators that lie in the closure of
+    the cyclic flats, 0 and E under sums and intersections, by dimension.
 
-    Always contains the zero and full spaces (the empty sum and the
-    empty intersection), and is closed under both operations by
-    construction.
+    A free separator x is in that closure exactly when it equals the sum
+    of the generators below it or the intersection of those above it.
+    With the generators sorted by dimension these are a prefix sum s_i
+    and a suffix intersection t_i at a boundary i where t_i contains s_i,
+    and every such s_i and t_i is a free separator.
     """
-
-    def __init__(self, m: QMatroid):
-        certs = m.certificates()
-        if len(certs) > DM_FLATS_LIMIT:
-            raise BudgetError(
-                f"sum/intersection closure of {len(certs)} cyclic flats "
-                f"exceeds the budget of {DM_FLATS_LIMIT}"
-            )
-        self.q, self.n = m.q, m.n
-        current = {z for z, _ in certs}
-        current.add(Subspace.zero(m.q, m.n))
-        current.add(Subspace.full(m.q, m.n))
-        while True:
-            new = set()
-            members = list(current)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    s = sum_subspaces(members[i], members[j])
-                    if s not in current:
-                        new.add(s)
-                    t = intersect_subspaces(members[i], members[j])
-                    if t not in current:
-                        new.add(t)
-            if not new:
-                break
-            current |= new
-        self.spaces = tuple(sorted(current, key=Subspace.sort_key))
-        self._members = frozenset(self.spaces)
-
-    def __len__(self):
-        return len(self.spaces)
-
-    def __contains__(self, a: Subspace) -> bool:
-        return a in self._members
-
-    def pinchpoints(self) -> list[Subspace]:
-        """Elements comparable to every member, sorted by inclusion.
-
-        They always form a chain through the zero and full spaces.
-        """
-        out = [
-            x
-            for x in self.spaces
-            if all(_comparable(x, y) for y in self.spaces)
-        ]
-        out.sort(key=lambda s: s.dim)
-        for a, b in zip(out, out[1:]):
-            if not b.contains(a):
-                raise InvariantError("pinchpoints failed to form a chain")
-        return out
-
-
-def dm_lattice(m: QMatroid) -> DmLattice:
-    return DmLattice(m)
+    zero, full = Subspace.zero(m.q, m.n), Subspace.full(m.q, m.n)
+    gens = sorted({z for z, _ in m.certificates()} | {zero, full}, key=Subspace.sort_key)
+    # s_i, the sum of gens[:i], and t_i, the intersection of gens[i:], for
+    # the boundaries i = 1 .. len(gens) - 1
+    sums = itertools.accumulate(gens[:-1], sum_subspaces)
+    meets = list(itertools.accumulate(reversed(gens[1:]), intersect_subspaces))[::-1]
+    flag = {zero, full}
+    for s, t in zip(sums, meets):
+        if t.contains(s):
+            flag |= {s, t}
+    out = sorted(flag, key=Subspace.sort_key)
+    for a, b in zip(out, out[1:]):
+        if not b.contains(a):
+            raise InvariantError("pinchpoints failed to form a chain")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +92,7 @@ def irreducibility_verdict(m: QMatroid):
             return True, None
         witness = Subspace(m.q, m.n, [next(iter(Subspace.full(m.q, m.n).rows))])
         return False, witness
-    pts = dm_lattice(m).pinchpoints()
-    for x in pts:
+    for x in pinchpoints(m):
         if 0 < x.dim < m.n:
             return False, x
     return True, None
@@ -169,7 +125,7 @@ class FactorizationReport:
 
 
 def primary_factorization(m: QMatroid) -> FactorizationReport:
-    """Split m along the pinchpoints of its sum/intersection closure.
+    """Split m along its primary flag (see pinchpoints).
 
     The reconstruction (free product of the factors equals m after the
     adapted change of basis) is checked on the ambients that free_product
@@ -177,7 +133,7 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
     """
     if m.n == 0:
         raise InputError("cannot factorize a q-matroid on a zero space")
-    flag = dm_lattice(m).pinchpoints()
+    flag = pinchpoints(m)
     factors = []
     kinds = []
     adapted: list = []

@@ -3,10 +3,13 @@
 A subspace is identified by the reduced row echelon basis of its row
 space, so equality and hashing are exact and independent of how the
 space was presented.  All objects here are immutable values, safe to
-share between threads and worker processes; the only mutation anywhere
-is idempotent caching: a subspace's element mask, and per field and
-dimension the zero vector, the unit vectors and the hyperplane
-functionals.
+share between threads; the only mutation anywhere is idempotent
+caching: a subspace's element mask, and per field and dimension the
+zero vector, the unit vectors and the hyperplane functionals.  A
+Subspace does not unpickle, because unpickling sets its slots through
+the blocking __setattr__, so it cannot cross to a worker process: a
+process pool exchanges plain rows of field elements or coefficients, as
+the coupling search does, and rebuilds subspaces on its own side.
 
 Vectors have two packed formats.  For q = 2 a vector is a machine
 integer with bit i holding coordinate i (the pivot of a row is its
@@ -340,17 +343,21 @@ class Subspace:
         return s
 
 
+def json_int(x, key: str, kind: str) -> int:
+    """x, the value of a document's key, when it is a JSON integer:
+    int() would pass a bool, truncate 2.9 or parse "1"."""
+    if type(x) is not int:
+        raise InputError(f"{kind} document: {key!r} is not an integer, got {x!r}")
+    return x
+
+
 def read_header(doc: dict, kind: str) -> tuple[int, int]:
-    """(q, n) of a document.  Both must be JSON integers: int() would pass
-    a bool, truncate 2.9 or parse "1"."""
+    """(q, n) of a document, both JSON integers."""
     try:
         q, n = doc["q"], doc["n"]
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed {kind} document: {e}") from None
-    for key, x in (("q", q), ("n", n)):
-        if type(x) is not int:
-            raise InputError(f"{kind} document: {key!r} is not an integer, got {x!r}")
-    return q, n
+    return json_int(q, "q", kind), json_int(n, "n", kind)
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -470,14 +477,6 @@ def codim1_subspaces(a: Subspace) -> Iterator[Subspace]:
     """The hyperplanes of a (inside a), one per functional on its coordinates."""
     for rows in _hyperplane_rows(a.q, a.rows):
         yield Subspace._make(a.q, a.n, rows)
-
-
-def covers(a: Subspace) -> Iterator[Subspace]:
-    """Subspaces covering a in the lattice of F_q^n (one dimension up): a
-    plus each atom of the complement QuotientMap(a, full space) lifts to."""
-    complement = Subspace._make(a.q, a.n, _complement_rows(a, Subspace.full(a.q, a.n)))
-    for v in atom_vectors(complement):
-        yield a.extend(v)
 
 
 def rref_rows_for_pattern(q: int, n: int, pattern) -> Iterator[tuple]:

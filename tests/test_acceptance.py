@@ -24,8 +24,8 @@ from qmatroids.constructions import (
     weak_compare_identity,
 )
 from qmatroids.factorization import (
-    dm_lattice,
     irreducibility_verdict,
+    pinchpoints,
     primary_factorization,
     vamos_cyclic_flats_scan,
     vamos_designated_spaces,
@@ -42,6 +42,8 @@ from qmatroids.qmatroid import (
     rank_tables_equal,
 )
 from qmatroids.subspace import Subspace, enumerate_subspaces
+
+from oracles import closure_pinchpoints
 
 U = QMatroid.uniform
 
@@ -242,7 +244,8 @@ def test_acceptance_10_vamos_is_irreducible(acceptance, capsys, tmp_path):
         assert d in flats
     assert found == vamos_qmatroid().certificates()
     v = QMatroid.from_cyclic_flats(2, 8, found, validate=False)
-    assert [p.dim for p in dm_lattice(v).pinchpoints()] == [0, 8]
+    assert [p.dim for p in closure_pinchpoints(v)] == [0, 8]
+    assert pinchpoints(v) == closure_pinchpoints(v)
     assert irreducibility_verdict(v) == (True, None)
     doc = write(tmp_path, "vamos.json", {"builtin": "vamos"})
     # every verb accepts --workers, but only search-x starts processes;

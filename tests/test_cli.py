@@ -14,6 +14,7 @@ from qmatroids import cli
 from qmatroids.cli import VERBS, main
 from qmatroids.constructions import free_product
 from qmatroids.errors import InvariantError
+from qmatroids.factorization import free_separators
 from qmatroids.qmatroid import QMatroid
 from qmatroids.subspace import Subspace
 
@@ -145,6 +146,23 @@ def test_irreducible_verb(capsys, docs):
     assert code == 0 and rep["irreducible"] is True and rep["witness"] is None
 
 
+def test_irreducible_and_factorize_past_24_cyclic_flats(capsys, tmp_path):
+    g = write(tmp_path, "g65.json", {
+        "field": {"q": 2, "m": 4},
+        "rows": [[12, 13, 0, 7, 12, 7], [0, 6, 0, 11, 1, 9], [0, 14, 9, 8, 0, 11]]})
+    code, rep = run_json(capsys, ["from-matrix", g])
+    assert code == 0 and len(rep["cyclic_flats"]) == 65
+    doc = write(tmp_path, "m65.json", rep)
+    assert [x.dim for x in free_separators(cli._load_matroid(doc))] == [0, 6]
+    code, rep = run_json(capsys, ["irreducible", doc])
+    assert code == 0 and rep["irreducible"] is True and rep["witness"] is None
+    code, rep = run_json(capsys, ["factorize", doc])
+    assert code == 0
+    assert [len(t["basis"]) for t in rep["flag"]] == [0, 6]
+    assert rep["factor_kinds"] == ["irreducible"]
+    assert rep["verified"] is True
+
+
 def test_from_matrix_verb(capsys, docs):
     code, rep = run_json(capsys, ["from-matrix", docs["g16"]])
     assert code == 0 and rep["rank"] == 2
@@ -234,9 +252,10 @@ def test_input_error_exits(capsys, docs, tmp_path):
                                       {"basis": [[1, 0], [0, 1]], "rank": 1.7}]},
     {"q": 2.9, "n": "1", "ranks": [{"basis": [], "r": 0}, {"basis": [[1]], "r": 1}]},
     {"q": 2.0, "n": True, "ranks": [{"basis": [], "r": 0}, {"basis": [[1]], "r": 1}]},
+    {"builtin": "vamos", "q": 2.9},
 ], ids=["rank-entry-without-r", "flat-without-rank", "flats-not-a-list", "negative-n",
         "repeated-subspace", "non-integer-rank", "float-and-string-header",
-        "float-and-bool-header"])
+        "float-and-bool-header", "float-builtin-q"])
 def test_malformed_documents_exit_2(capsys, tmp_path, doc):
     path = write(tmp_path, "bad.json", doc)
     for verb in ("verify-axioms", "cyclic-flats"):
@@ -248,6 +267,14 @@ def test_malformed_subspace_document_exits_2(capsys, docs, tmp_path):
     space = write(tmp_path, "space.json", {"q": 2.0, "n": 2, "basis": [[1, 0]]})
     assert main(["rank", docs["u12"], space]) == 2
     assert "'q' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [{"q": 2.9, "m": "4"}, {"q": 2, "m": "4"}],
+                         ids=["float-q-string-m", "string-m"])
+def test_malformed_matrix_document_exits_2(capsys, tmp_path, field):
+    g = write(tmp_path, "bad.json", {"field": field, "rows": [["1", "a"]]})
+    assert main(["from-matrix", g]) == 2
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_budget_vamos_guard(capsys, docs):

@@ -1,16 +1,17 @@
-"""Free separators, the sum/intersection closure, and primary splits."""
+"""Free separators, the primary flag, and primary splits."""
 
 import os
+import random
 
 import pytest
 
-from qmatroids.constructions import free_product, free_product_chain
+from qmatroids.constructions import direct_sum, free_product, free_product_chain
 from qmatroids.factorization import (
-    dm_lattice,
     free_separators,
     irreducibility_verdict,
     is_free_separator,
     is_irreducible,
+    pinchpoints,
     primary_factorization,
     vamos_cyclic_flats_scan,
     vamos_designated_spaces,
@@ -18,8 +19,12 @@ from qmatroids.factorization import (
     vamos_rank,
 )
 from qmatroids.errors import InputError
+from qmatroids.gf import Matrix, ext_field_new, matrix_rank
 from qmatroids.qmatroid import QMatroid, rank_tables_equal, transport
+from qmatroids.representation import qmatroid_from_matrix
 from qmatroids.subspace import Subspace, enumerate_subspaces
+
+from oracles import closure_pinchpoints, generators, separator_pinchpoints, sum_intersection_closure
 
 U = QMatroid.uniform
 
@@ -57,10 +62,12 @@ def test_every_subspace_separates_a_uniform():
 
 
 def test_dm_lattice_of_a_product_keeps_the_seam():
-    d = dm_lattice(free_product(U(2, 2, 1), U(2, 2, 1)))
-    assert len(d) == 3
-    assert [p.dim for p in d.pinchpoints()] == [0, 2, 4]
-    assert span(2, 4, (1, 0, 0, 0), (0, 1, 0, 0)) in d
+    m = free_product(U(2, 2, 1), U(2, 2, 1))
+    closure = sum_intersection_closure(m)
+    assert len(closure) == 3
+    assert span(2, 4, (1, 0, 0, 0), (0, 1, 0, 0)) in closure
+    assert [p.dim for p in closure_pinchpoints(m)] == [0, 2, 4]
+    assert pinchpoints(m) == closure_pinchpoints(m)
 
 
 def test_product_is_reducible_with_seam_witness():
@@ -77,10 +84,67 @@ def test_uniform_reducibility_uses_any_atom():
 
 
 def test_diagonal_flat_example_is_irreducible():
-    d = dm_lattice(diagonal_flat_matroid())
-    assert len(d) == 5
-    assert [p.dim for p in d.pinchpoints()] == [0, 4]
+    m = diagonal_flat_matroid()
+    assert len(sum_intersection_closure(m)) == 5
+    assert [p.dim for p in closure_pinchpoints(m)] == [0, 4]
+    assert pinchpoints(m) == closure_pinchpoints(m)
     assert irreducibility_verdict(diagonal_flat_matroid()) == (True, None)
+
+
+def _matrix_qmatroid(rng, q, degrees, n):
+    """The q-matroid of a random full-rank matrix with n columns and 1 to
+    min(3, n) rows over GF(q^m), m drawn from degrees.  About a third of
+    the entries are zero, so loops and coloops occur."""
+    field = ext_field_new(q, rng.choice(degrees))
+    k = rng.randint(1, min(3, n))
+    while True:
+        rows = [[0 if rng.random() < 0.3 else rng.randrange(1, field.order)
+                 for _ in range(n)] for _ in range(k)]
+        if matrix_rank(Matrix(field, rows)) == k:
+            return qmatroid_from_matrix(Matrix(field, rows))
+
+
+def _differential_cases(seed):
+    """Uniforms, matrix q-matroids over GF(2^2..4) and GF(3^2), and free
+    products, triple products and direct sums of small matrix q-matroids,
+    all on n <= 5.  Products skip their rank-formula sweep, which other
+    tests cover."""
+    rng = random.Random(seed)
+
+    def binary(n):
+        return _matrix_qmatroid(rng, 2, (2, 3, 4), n)
+
+    def product(m1, m2):
+        return free_product(m1, m2, validate=False)
+
+    cases = [U(2, n, k) for n in range(1, 5) for k in range(n + 1)]
+    cases += [binary(rng.randint(2, 5)) for _ in range(30)]
+    cases += [_matrix_qmatroid(rng, 3, (2,), rng.randint(2, 4)) for _ in range(6)]
+    for _ in range(24):
+        n1 = rng.randint(1, 3)
+        cases.append(product(binary(n1), binary(rng.randint(1, 5 - n1))))
+    for _ in range(6):
+        cases.append(product(product(binary(1), binary(rng.randint(1, 2))), binary(rng.randint(1, 2))))
+    for _ in range(6):
+        n1 = rng.randint(1, 3)
+        cases.append(direct_sum(binary(n1), binary(rng.randint(1, 5 - n1))))
+    # free extensions (by a loop) and coextensions (by a coloop) of direct
+    # sums: the flag of U(q,2,1) + U(q,2,1) extended holds a sum, coextended
+    # an intersection, of cyclic flats that is not itself a cyclic flat
+    for q, other in ((2, U(2, 2, 1)), (3, U(3, 2, 1))) + tuple((2, binary(2)) for _ in range(4)):
+        pair = direct_sum(U(q, 2, 1), other)
+        cases += [product(pair, U(q, 1, 0)), product(U(q, 1, 1), pair)]
+    return cases
+
+
+def test_pinchpoints_match_both_oracles():
+    cases = _differential_cases(2024)
+    flags = [pinchpoints(m) for m in cases]
+    for m, flag in zip(cases, flags):
+        assert flag == closure_pinchpoints(m) == separator_pinchpoints(m), m.to_dict()
+    assert len(cases) >= 80
+    assert sum(len(flag) > 2 for flag in flags) >= 40
+    assert sum(any(x not in generators(m) for x in flag) for m, flag in zip(cases, flags)) >= 4
 
 
 def test_primary_factorization_of_a_product():
@@ -135,9 +199,9 @@ def test_vamos_qmatroid_is_irreducible():
     v = vamos_qmatroid()
     assert sorted((z.dim, f) for z, f in v.certificates()) == \
         [(0, 0)] + [(4, 3)] * 5 + [(8, 4)]
-    d = dm_lattice(v)
-    assert len(d) == 16
-    assert [p.dim for p in d.pinchpoints()] == [0, 8]
+    assert len(sum_intersection_closure(v)) == 16
+    assert [p.dim for p in closure_pinchpoints(v)] == [0, 8]
+    assert pinchpoints(v) == closure_pinchpoints(v)
     assert irreducibility_verdict(v) == (True, None)
 
 

@@ -13,7 +13,6 @@ from qmatroids.subspace import (
     Subspace,
     atoms,
     codim1_subspaces,
-    covers,
     enumerate_subspaces,
     gaussian_binomial,
     hyperplane_walk,
@@ -145,10 +144,6 @@ def test_atoms_codim1_covers_counts():
     a = Subspace.full(2, 4)
     assert len(list(atoms(a))) == gaussian_binomial(4, 1, 2) == 15
     assert len(list(codim1_subspaces(a))) == gaussian_binomial(4, 3, 2) == 15
-    line = span(3, 3, (1, 2, 0))
-    ups = list(covers(line))
-    assert len(ups) == gaussian_binomial(2, 1, 3)  # planes over a line in F_3^3
-    assert all(u.dim == 2 and u.contains(line) for u in ups)
 
 
 def test_enumerate_subspaces_counts_and_order():
