@@ -34,7 +34,6 @@ from .representation import (
     QSystem,
     coupling_search_size,
     is_evasive,
-    is_i_club,
     linear_set_profile,
     qmatroid_from_matrix,
     search_x,
@@ -297,7 +296,7 @@ def _cmd_from_matrix(args):
 def _cmd_club_check(args):
     system = QSystem.from_matrix(_load_matrix(args.matrix, args.modulus))
     profile = linear_set_profile(system)
-    club = is_i_club(system)
+    club = profile.club_index()
     report = {"club": club, "rank": profile.rank, "profile": profile.to_dict()}
     head = f"{club}-club of rank {profile.rank}" if club else f"not a club (rank {profile.rank})"
     lines = [head]

@@ -538,8 +538,31 @@ def rref(M: Matrix):
     return Matrix(F, rows), r, tuple(pivots)
 
 
+def span_rank(F, vectors) -> int:
+    """Dimension of the span of row vectors over F, by online elimination.
+
+    Each vector is reduced against the normalized rows kept so far, as
+    (pivot, row) pairs, and kept if anything is left; no Matrix is built.
+    """
+    mul, sub = F.mul, F.sub
+    basis: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        for p, b in basis:
+            c = v[p]
+            if c:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+        for p, x in enumerate(v):
+            if x:
+                break
+        else:
+            continue
+        inv = F.inv(x)
+        basis.append((p, [mul(inv, y) for y in v]))
+    return len(basis)
+
+
 def matrix_rank(M: Matrix) -> int:
-    return rref(M)[1]
+    return span_rank(M.field, M.rows)
 
 
 def kernel(M: Matrix) -> Matrix:

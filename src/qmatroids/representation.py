@@ -7,7 +7,10 @@ function.  This module materializes it, profiles the linear set cut out
 by the column system on the projective line, tests evasivity against
 the hyperplanes that avoid a distinguished coordinate block, and
 searches for coupling blocks X that make the stacked matrix
-(G1 X; 0 G2) represent a free product of uniform q-matroids.
+(G1 X; 0 G2) represent a free product of uniform q-matroids.  The
+search computes the target's bases once and tests each candidate on
+them alone, reading the images of basis rows from one table of all
+q^n images per candidate; the profile reads the same table.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Optional, Sequence
 
 from .constructions import free_product
 from .errors import BudgetError, InputError, InvariantError
-from .gf import BaseField, ExtField, Matrix, matrix_rank
+from .gf import BaseField, ExtField, Matrix, matrix_rank, span_rank
 from .qmatroid import QMatroid
-from .subspace import Subspace, enumerate_subspaces
+from .subspace import Subspace, enumerate_subspaces, intersect_subspaces, vector_index
 
 # Hyperplane enumeration is (q^{mk}-1)/(q^m-1) normals; the checks this
 # module exists for only ever need k = 2.
@@ -37,25 +40,6 @@ SEARCH_X_LIMIT = 1 << 14
 PROFILE_VECTOR_LIMIT = 1 << 16
 
 
-def _span_rank(field, vectors) -> int:
-    """Dimension of the F_{q^m}-span of row vectors, by online elimination."""
-    basis: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        v = list(v)
-        for p, b in zip(pivots, basis):
-            c = v[p]
-            if c:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        inv = field.inv(v[p])
-        basis.append(tuple(field.mul(inv, x) for x in v))
-        pivots.append(p)
-    return len(basis)
-
-
 def _columns(G: Matrix) -> list[tuple[int, ...]]:
     return [tuple(r[j] for r in G.rows) for j in range(G.ncols)]
 
@@ -68,6 +52,24 @@ def _combine(field, cols: Sequence[tuple[int, ...]], coeffs: Sequence[int]):
         if c:
             acc = [field.add(a, field.smul(c, x)) for a, x in zip(acc, col)]
     return tuple(acc)
+
+
+def _image_table(field, cols: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The images of all q^n coefficient vectors, in vector_index order.
+
+    Entry i is the combination of `cols` whose coefficient on column j
+    is the j-th base-q digit of i.  The block for column j is the table
+    so far shifted by c * col_j for c = 1..q-1, so each entry costs one
+    vector add.
+    """
+    k = len(cols[0]) if cols else 0
+    table = [(field.zero,) * k]
+    for col in cols:
+        size = len(table)
+        for c in range(1, field.q):
+            shift = tuple(field.smul(c, x) for x in col)
+            table += [tuple(map(field.add, e, shift)) for e in table[:size]]
+    return table
 
 
 class QSystem:
@@ -92,9 +94,9 @@ class QSystem:
                     raise InputError(f"entry {x} out of range for a field of order {field.order}")
         # Independence over F_q is rank of the q-ary coordinate expansion.
         expanded = [[c for x in g for c in field.coeffs(x)] for g in gens]
-        if matrix_rank(Matrix(BaseField(field.q), expanded)) != len(gens):
+        if span_rank(BaseField(field.q), expanded) != len(gens):
             raise InputError("generators are linearly dependent over the prime field")
-        if matrix_rank(Matrix(field, gens)) != k:
+        if span_rank(field, gens) != k:
             raise InputError("generators do not span the ambient space over the extension field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "k", k)
@@ -144,7 +146,7 @@ def qmatroid_from_matrix(G: Matrix, q: int | None = None) -> QMatroid:
     table = {}
     for s in enumerate_subspaces(q, n):
         vecs = [_combine(field, cols, row) for row in s.coeff_rows()]
-        table[s] = _span_rank(field, vecs)
+        table[s] = span_rank(field, vecs)
     return QMatroid.from_rank_table(q, n, table)
 
 
@@ -159,7 +161,7 @@ def system_rank(system: QSystem, space: Subspace) -> int:
     from .subspace import unpack_vector
 
     vecs = (system.image(unpack_vector(space.q, space.n, v)) for v in space.elements())
-    return _span_rank(system.field, vecs)
+    return span_rank(system.field, vecs)
 
 
 def qmatroid_from_system(system: QSystem) -> QMatroid:
@@ -206,6 +208,13 @@ class LinearSetProfile:
     def weights(self) -> list[int]:
         return sorted(w for _, w in self.points)
 
+    def club_index(self) -> Optional[int]:
+        """i when all points have weight 1 except exactly one of weight i >= 2, else None."""
+        heavy = [w for _, w in self.points if w >= 2]
+        if len(heavy) == 1:
+            return heavy[0]
+        return None
+
     def to_dict(self) -> dict:
         f = self.field
         return {
@@ -225,10 +234,7 @@ def linear_set_profile(system: QSystem) -> LinearSetProfile:
     if q**n > PROFILE_VECTOR_LIMIT:
         raise BudgetError(f"profiling streams q^n = {q**n} vectors, over the budget {PROFILE_VECTOR_LIMIT}")
     counts: dict[tuple[int, int], int] = {}
-    for coeffs in itertools.product(range(q), repeat=n):
-        if not any(coeffs):
-            continue
-        y0, y1 = system.image(coeffs)
+    for y0, y1 in _image_table(field, system.generators)[1:]:
         pt = (1, field.mul(field.inv(y0), y1)) if y0 else (0, 1)
         counts[pt] = counts.get(pt, 0) + 1
     points = []
@@ -252,11 +258,7 @@ def is_i_club(system: QSystem) -> Optional[int]:
     weight i >= 2, and None otherwise (in particular for scattered
     sets, where every weight is 1).
     """
-    profile = linear_set_profile(system)
-    heavy = [w for _, w in profile.points if w >= 2]
-    if len(heavy) == 1:
-        return heavy[0]
-    return None
+    return linear_set_profile(system).club_index()
 
 
 def is_evasive(system: QSystem, k1: int, h: int) -> bool:
@@ -290,7 +292,7 @@ def is_evasive(system: QSystem, k1: int, h: int) -> bool:
                 for ui, gi in zip(u, g):
                     val = field.add(val, field.mul(ui, gi))
                 rows.append(field.coeffs(val))
-            if n - matrix_rank(Matrix(base, rows)) > h:
+            if n - span_rank(base, rows) > h:
                 return False
     return True
 
@@ -339,61 +341,31 @@ def _search_candidates(order: int, k1: int, n2: int, leads=None):
             yield prefix + (first,) + rest
 
 
-def _rank_matches(field, cols, rows, want: int, k: int) -> bool:
-    """Whether the images of `rows` span dimension exactly `want`.
-
-    Combines rows lazily and stops as soon as the answer is decided:
-    a rank above `want` fails outright, and hitting `want` with the
-    ambient dimension `k` cannot be undone by more rows.
-    """
-    basis: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = list(_combine(field, cols, row))
-        for p, b in zip(pivots, basis):
-            c = v[p]
-            if c:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        if len(basis) == want:
-            return False
-        inv = field.inv(v[p])
-        basis.append(tuple(field.mul(inv, x) for x in v))
-        pivots.append(p)
-        if len(basis) == want == k:
-            return True
-    return len(basis) == want
-
-
 def _as_block(field, entries, k1: int, n2: int) -> Matrix:
     return Matrix(field, [entries[i * n2:(i + 1) * n2] for i in range(k1)])
 
 
 def _scan_chunk(args):
-    """One worker's share of the coupling search: filter by rank table."""
-    (q, mdeg, modulus, g1rows, g2rows, leads) = args
+    """One worker's share of the coupling search: test every target basis.
+
+    `bases` lists each basis of the target as the vector_index of its
+    rows.  A candidate passes when every basis keeps full rank k under
+    its image table.
+    """
+    (q, mdeg, modulus, g1rows, g2rows, bases, leads) = args
     field = ExtField(q, mdeg, modulus)
     G1 = Matrix(field, g1rows)
     G2 = Matrix(field, g2rows)
-    k1, n1 = G1.nrows, G1.ncols
-    k2, n2 = G2.nrows, G2.ncols
-    n, k = n1 + n2, k1 + k2
-    target = free_product(QMatroid.uniform(q, n1, k1), QMatroid.uniform(q, n2, k2))
-    checks = []
-    for s in enumerate_subspaces(q, n):
-        if s.dim:
-            checks.append((s.coeff_rows(), target.rank(s)))
-    g1cols = _columns(G1)
+    k1, k2, n2 = G1.nrows, G2.nrows, G2.ncols
+    k = k1 + k2
+    left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
     g2cols = _columns(G2)
     hits = []
     for entries in _search_candidates(field.order, k1, n2, leads=leads):
-        cols = [g1col + (field.zero,) * k2 for g1col in g1cols]
-        for j in range(n2):
-            xcol = tuple(entries[i * n2 + j] for i in range(k1))
-            cols.append(xcol + g2cols[j])
-        if all(_rank_matches(field, cols, rows, w, k) for rows, w in checks):
+        cols = left + [tuple(entries[i * n2 + j] for i in range(k1)) + g2cols[j]
+                       for j in range(n2)]
+        table = _image_table(field, cols)
+        if all(span_rank(field, [table[i] for i in basis]) == k for basis in bases):
             hits.append(entries)
     return hits
 
@@ -421,11 +393,15 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
 
     Exhaustive over the whole entry space (first entry normalized to
     zero when G1 has one row), in lexicographic order of the entry
-    encodings.  A candidate passes when its full rank table equals the
-    free-product target's; that is equivalent to the cyclic-flat test
-    of verify_free_product_rep, which this function confirms by scanning
-    the target's flats once per call and re-verifying the first hit
-    literally.
+    encodings.  A q-matroid is determined by its bases, so a candidate
+    passes when every basis of the free-product target, a k-space B
+    with target rank k, keeps rank k under the candidate.  The target's
+    other k-spaces meet the seam F_q^{n1} + 0 in more than k1
+    dimensions, and G has rank k1 on the seam, so they have rank below
+    k under every candidate: passing means having exactly the target's
+    bases.  The target's flats are scanned once per call against the
+    cyclic-flat profile of verify_free_product_rep, and the first hit is
+    re-verified literally.
     """
     if G1.field != G2.field:
         raise InputError("both factors must be represented over one field")
@@ -446,18 +422,24 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
         raise BudgetError(f"search space has {count} candidates, over the budget {limit}")
     n, k = n1 + n2, k1 + k2
     # Scan-route anchor: the target's cyclic flats must be the exact
-    # profile the literal verifier tests for.  Given that, rank-table
-    # equality with the target decides membership.
+    # profile the literal verifier tests for.  Given that, having the
+    # target's bases decides membership.
     target = free_product(QMatroid.uniform(q, n1, k1), QMatroid.uniform(q, n2, k2))
-    anchor = QMatroid.from_rank_table(q, n, {s: target.rank(s) for s in enumerate_subspaces(q, n)})
-    expected = {
-        Subspace.zero(q, n): 0,
-        _split_seam(q, n, n1): k1,
-        Subspace.full(q, n): k,
-    }
+    ranks = {s: target.rank(s) for s in enumerate_subspaces(q, n)}
+    anchor = QMatroid.from_rank_table(q, n, ranks)
+    seam = _split_seam(q, n, n1)
+    expected = {Subspace.zero(q, n): 0, seam: k1, Subspace.full(q, n): k}
     if dict(anchor.cyclic_flats().pairs) != expected:
         raise InvariantError("target's cyclic flats are not the uniform free-product profile")
-    task = (q, field.m, field.modulus, G1.rows, G2.rows)
+    bases = []
+    for s, r in ranks.items():
+        if s.dim != k:
+            continue
+        if r == k:
+            bases.append(tuple(vector_index(q, n, v) for v in s.rows))
+        elif intersect_subspaces(s, seam).dim <= k1:
+            raise InvariantError("a target non-basis meets the seam in at most k1 dimensions")
+    task = (q, field.m, field.modulus, G1.rows, G2.rows, bases)
     if workers > 1:
         # contiguous lead ranges, one task per worker
         step = -(-field.order // workers)

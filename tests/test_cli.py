@@ -178,6 +178,23 @@ def test_club_check_verb(capsys, docs):
     assert out.splitlines()[0] == "2-club of rank 4"
 
 
+def test_club_check_profiles_once(capsys, monkeypatch, docs):
+    # the club index is read off the one profile of the report
+    from qmatroids import representation
+    original = representation.linear_set_profile
+    calls = []
+
+    def counting_profile(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(cli, "linear_set_profile", counting_profile)
+    monkeypatch.setattr(representation, "linear_set_profile", counting_profile)
+    code, rep = run_json(capsys, ["club-check", docs["g16"]])
+    assert code == 0 and rep["club"] == 2
+    assert len(calls) == 1
+
+
 def test_evasive_check_verb(capsys, docs):
     code, rep = run_json(capsys, ["evasive-check", docs["g16"],
                                   "--k1", "1", "--h", "1"])

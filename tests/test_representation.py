@@ -2,13 +2,19 @@
 
 The membership filter inside search_x and the literal flat criterion of
 verify_free_product_rep are independent routes; the sweep below checks
-them candidate by candidate on the small field.
+them candidate by candidate on the small field.  The basis test of
+search_x is also checked hit list by hit list against the whole-rank-table
+route of tests/oracles.py, and the image table and the linear-set profile
+against their streaming routes.
 """
 
 import os
+import random
 from collections import Counter
 
 import pytest
+
+from oracles import linear_set_profile_by_stream, search_x_by_rank_table
 
 from qmatroids.constructions import direct_sum
 from qmatroids.errors import BudgetError, InputError
@@ -16,6 +22,7 @@ from qmatroids.gf import Matrix, ext_field_new
 from qmatroids.qmatroid import QMatroid, rank_tables_equal
 from qmatroids.representation import (
     QSystem,
+    _image_table,
     block_rep,
     coupling_search_size,
     is_evasive,
@@ -27,7 +34,7 @@ from qmatroids.representation import (
     system_rank,
     verify_free_product_rep,
 )
-from qmatroids.subspace import Subspace, enumerate_subspaces
+from qmatroids.subspace import Subspace, enumerate_subspaces, pack_vector, vector_index
 
 F16 = ext_field_new(2, 4)
 A = F16.generator
@@ -165,6 +172,28 @@ def test_search_parallel_matches_serial():
     assert [h.rows for h in serial] == [h.rows for h in parallel]
 
 
+def _search_pairs():
+    """(G1, G2, hits) cases for the differential search test."""
+    G1, G2 = pair16()
+    moore = [(1, A, ap(2)), (1, ap(2), ap(4))]
+    F81 = ext_field_new(3, 4)
+    c = F81.generator
+    return {
+        "gf16-frozen": (G1, G2, 8),
+        "gf16-negative": (G1, Matrix(F16, [(1, ap(2))]), 0),
+        "gf81-q3": (Matrix(F81, [(1, c)]), Matrix(F81, [(1, F81.pow(c, 3))]), 54),
+        "gf16-moore-k3": (G1, Matrix(F16, moore), 0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_search_pairs()))
+def test_search_matches_the_rank_table_route(case):
+    G1, G2, count = _search_pairs()[case]
+    hits = search_x(G1, G2)
+    assert len(hits) == count
+    assert hits == search_x_by_rank_table(G1, G2)
+
+
 def test_search_guards():
     G1, G2 = pair16()
     with pytest.raises(BudgetError):
@@ -174,6 +203,46 @@ def test_search_guards():
     F4 = ext_field_new(2, 2)
     with pytest.raises(InputError):
         search_x(G1, Matrix(F4, [(1, F4.generator)]))
+
+
+def _random_system(rng, field, k, n):
+    """A seeded q-system: random generators, redrawn until they are valid."""
+    while True:
+        gens = [[rng.randrange(field.order) for _ in range(k)] for _ in range(n)]
+        try:
+            return QSystem(field, k, gens)
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_image_table_matches_system_images(q, m):
+    F = ext_field_new(q, m)
+    rng = random.Random(100 * q + m)
+    for k in (1, 2, 3):
+        for n in range(k, min(k * m, 8 if q == 2 else 4) + 1):
+            S = _random_system(rng, F, k, n)
+            table = _image_table(F, S.generators)
+            assert len(table) == q**n
+            for i, image in enumerate(table):
+                coeffs = [(i // q**j) % q for j in range(n)]
+                assert vector_index(q, n, pack_vector(q, n, coeffs)) == i
+                assert image == S.image(coeffs)
+
+
+def test_profile_matches_the_streaming_route():
+    rng = random.Random(7)
+    fields = [ext_field_new(2, m) for m in range(3, 7)] + [ext_field_new(3, m) for m in (2, 3)]
+    checked = clubs = 0
+    for F in fields:
+        for n in range(2, min(2 * F.m, 6) + 1):
+            for _ in range(2):
+                S = _random_system(rng, F, 2, n)
+                profile = linear_set_profile(S)
+                assert profile == linear_set_profile_by_stream(S)
+                clubs += profile.club_index() is not None
+                checked += 1
+    assert checked >= 50 and clubs > 0
 
 
 F128 = ext_field_new(2, 7)
@@ -217,3 +286,18 @@ def test_full_search_over_the_big_field():
     sample = block_rep(G1, G2, hits[0])
     assert verify_free_product_rep(sample, 2, 2, 1)
     assert is_i_club(QSystem.from_matrix(sample)) == 2
+
+
+@pytest.mark.vamos
+@pytest.mark.skipif(not os.environ.get("QM_RUN_VAMOS"),
+                    reason="1024 candidates on the rank-table route; set QM_RUN_VAMOS=1")
+def test_three_row_search_with_hits_matches_the_rank_table_route():
+    # over GF(2^4) the three-row pairs have no hits; this GF(2^5) one has 512
+    F32 = ext_field_new(2, 5)
+    c = F32.generator
+    e = (1, F32.pow(c, 2), F32.pow(c, 6))
+    G1 = Matrix(F32, [(1, c)])
+    G2 = Matrix(F32, [e, tuple(F32.mul(x, x) for x in e)])
+    hits = search_x(G1, G2)
+    assert len(hits) == 512
+    assert hits == search_x_by_rank_table(G1, G2)
