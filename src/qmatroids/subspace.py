@@ -17,16 +17,17 @@ lowest set bit); for odd primes it is a tuple of residues.  Only the
 vector primitives know the two formats: the elimination kernels
 (`_rref`, `_reduce` and the row insertion in `Subspace.extend`),
 `_nonzero`, `_axpy` (y + c*x), `_concat` and `_split` of coordinate
-blocks, `pack_vector`, `unpack_vector` and `vector_index`.  Every
-lattice operation is written once on top of them.  GF(2) keeps its own
-bit-packed elimination because it is several times faster than the
-generic one on residue tuples, and elimination is where the sweeps
-spend their time.
+blocks, `pack_vector`, `unpack_vector`, `vector_index` and
+`Subspace.elements`.  Every lattice operation is written once on top of
+them.  GF(2) keeps its own bit-packed elimination because it is several
+times faster than the generic one on residue tuples, and elimination is
+where the sweeps spend their time.  Its XOR listing of elements builds
+the element masks of certificate ranks twice as fast as `_axpy`.
 
 Scale limits are deliberate: q is a prime at most 13, and any function
 that enumerates vectors or subspaces refuses ambients with more than
 2^10 vectors (larger jobs must stream through dimension strata on the
-caller's side).
+caller's side); element masks stop at 2^13 vectors.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from .gf import is_prime, MAX_BASE_PRIME
 
 # Enumeration guards: streaming over vectors/atoms of an ambient space is
 # allowed up to 2^10 vectors, and callers that materialize every subspace
-# of a lattice should keep the total count within 2^16.
+# of a lattice should keep the total count within 2^16.  Element masks,
+# one bit per vector of the ambient, are built up to 2^13 vectors.
 STREAM_AMBIENT_LIMIT = 1 << 10
 MATERIALIZE_LIMIT = 1 << 16
+MASK_AMBIENT_LIMIT = 1 << 13
 
 
 def _check_q(q: int) -> None:
@@ -304,6 +307,11 @@ class Subspace:
     # -- element streams -------------------------------------------------
     def elements(self) -> list:
         """All q^dim vectors, in binary/positional counting order over the basis."""
+        if self.q == 2:
+            els = [0]
+            for r in self.rows:
+                els += [e ^ r for e in els]
+            return els
         els = [_zero(self.q, self.n)]
         for r in self.rows:
             els = [_axpy(self.q, c, r, e) for c in range(self.q) for e in els]
@@ -314,7 +322,7 @@ class Subspace:
         m = self._mask
         if m is None:
             q, n = self.q, self.n
-            if q**n > (1 << 13):
+            if q**n > MASK_AMBIENT_LIMIT:
                 raise BudgetError(f"element mask for q^n = {q**n} exceeds the supported bound")
             m = 0
             for v in self.elements():

@@ -7,6 +7,9 @@ nothing changes, then keep the members comparable to every member.
 instead and keeps those that equal the sum of the generators below them
 or the intersection of those above.
 
+`rank_by_min_formula` is the certificate rank by one sum per cyclic
+flat: r(A) = min f(Z) + dim(A + Z) - dim Z.
+
 `search_x_by_rank_table` is the coupling search by whole rank tables:
 a candidate passes when its rank on every nonzero subspace equals the
 free-product target's.  `linear_set_profile_by_stream` profiles a linear
@@ -70,6 +73,11 @@ def separator_pinchpoints(m):
                 or functools.reduce(intersect_subspaces, above) == x):
             out.append(x)
     return out
+
+
+def rank_by_min_formula(m, a):
+    """r(a) of a certificate-backed m, one sum_subspaces per cyclic flat."""
+    return min(f + sum_subspaces(a, z).dim - z.dim for z, f in m.certificates())
 
 
 def _rank_matches(field, cols, rows, want: int, k: int) -> bool:

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
+from oracles import rank_by_min_formula
 from qmatroids import qmatroid
+from qmatroids.constructions import direct_sum, free_product, free_product_rank
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.qmatroid import (
     QMatroid,
@@ -28,6 +30,7 @@ from qmatroids.qmatroid import (
     transport,
 )
 from qmatroids.subspace import (
+    MASK_AMBIENT_LIMIT,
     Subspace,
     codim1_subspaces,
     enumerate_subspaces,
@@ -247,6 +250,66 @@ def test_certificate_and_table_backings_agree():
             m.q, m.n, m.cyclic_flats().pairs, validate=False)
         assert rank_tables_equal(m, rebuilt)
         assert rank_tables_equal(m, m.as_cyclic_flat_backed())
+
+
+def certificate_corpus():
+    """Uniforms on F_q^n (n <= 3 for q = 2, n <= 2 for q = 3 and 5), their
+    free products and direct sums on at most 4, 3 and 3 coordinates, both
+    of U(1,2) with itself over F_3, the free products of three factors
+    from U(0,1), U(1,1) and U(1,2) over F_2 on at most 5 coordinates, and
+    the duals of all of these."""
+    line = U(3, 2, 1)
+    out = [diagonal_flat_matroid(), one_loop().as_cyclic_flat_backed(),
+           free_product(line, line, validate=False), direct_sum(line, line)]
+    for q, top, total in ((2, 3, 4), (3, 2, 3), (5, 2, 3)):
+        pool = [U(q, n, k) for n in range(1, top + 1) for k in range(n + 1)]
+        out += pool
+        for m1, m2 in itertools.product(pool, repeat=2):
+            if m1.n + m2.n <= total:
+                out += [free_product(m1, m2, validate=False), direct_sum(m1, m2)]
+    for ms in itertools.product((U(2, 1, 0), U(2, 1, 1), U(2, 2, 1)), repeat=3):
+        if sum(m.n for m in ms) <= 5:
+            out.append(free_product(free_product(*ms[:2], validate=False), ms[2], validate=False))
+    return out + [m.dual() for m in out]
+
+
+def test_certificate_rank_matches_the_min_formula():
+    corpus = certificate_corpus()
+    assert len(corpus) >= 200
+    assert {m.q for m in corpus} == {2, 3, 5}
+    assert max(len(m.certificates()) for m in corpus) >= 4
+    for m in corpus:
+        assert m._certs is not None
+        for s in enumerate_subspaces(m.q, m.n):
+            assert m.rank(s) == rank_by_min_formula(m, s), (m, s)
+
+
+def test_certificate_rank_above_the_mask_bound(monkeypatch):
+    # F_2^13 is the largest ambient on element masks, F_2^14 the smallest
+    # on one sum_subspaces per flat.
+    rng = random.Random(14)
+    sums = []
+    monkeypatch.setattr(qmatroid, "sum_subspaces", lambda a, b: sums.append(a) or sum_subspaces(a, b))
+    m1 = free_product(U(2, 3, 1), U(2, 3, 2), validate=False).dual()
+    for n2 in (7, 8):
+        m2 = direct_sum(U(2, n2 // 2, 1), U(2, n2 - n2 // 2, 2))
+        m = free_product(m1, m2, validate=False)
+        assert len(m.certificates()) >= 4
+        del sums[:]
+        for dim in range(m.n + 1):
+            for _ in range(4):
+                s = Subspace(2, m.n, [rng.randrange(1, 1 << m.n) for _ in range(dim)])
+                assert m.rank(s) == free_product_rank(m1, m2, s)
+        assert (len(sums) > 0) == (2**m.n > MASK_AMBIENT_LIMIT)
+
+
+def test_certificate_rank_calls_no_sum_and_keeps_no_memo(monkeypatch):
+    m = free_product(diagonal_flat_matroid(), U(2, 2, 1), validate=False)
+    calls = []
+    monkeypatch.setattr(qmatroid, "sum_subspaces", lambda a, b: calls.append(a))
+    ranks = [m.rank(s) for s in enumerate_subspaces(2, 6)]
+    assert calls == [] and len(ranks) == 2825
+    assert "_memo" not in QMatroid.__slots__ and not hasattr(m, "_memo")
 
 
 def test_table_backing_scans_once():

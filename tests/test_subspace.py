@@ -81,6 +81,20 @@ def test_dim_codim_contains_elements():
     assert len(b.elements()) == 3
 
 
+def test_elements_count_over_the_basis_in_order():
+    # every combination sum(c_i * rows[i]) once, rows[0] varying fastest;
+    # over GF(2) this checks the XOR listing against coefficient rows
+    for q, n in ((2, 5), (3, 3), (5, 2)):
+        for s in enumerate_subspaces(q, n):
+            rows = s.coeff_rows()
+            want = []
+            for coeffs in itertools.product(range(q), repeat=s.dim):
+                v = [sum(c * r[i] for c, r in zip(reversed(coeffs), rows)) % q for i in range(n)]
+                want.append(pack_vector(q, n, v))
+            assert s.elements() == want
+            assert s.element_mask() == sum(1 << vector_index(q, n, v) for v in want)
+
+
 def test_extend_and_contains_vector():
     a = Subspace.zero(2, 4)
     v = pack_vector(2, 4, (1, 1, 0, 0))
