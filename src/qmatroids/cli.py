@@ -330,14 +330,14 @@ def _cmd_search_x(args):
 
 def _cmd_verify_free_product_rep(args):
     G = _load_matrix(args.matrix, args.modulus)
-    ok = verify_free_product_rep(G, args.q if args.q else G.field.q, args.n1, args.k1)
+    ok = verify_free_product_rep(G, G.field.q if args.q is None else args.q, args.n1, args.k1)
     return {"verified": ok, "n1": args.n1, "k1": args.k1}, str(ok).lower(), 0 if ok else 1
 
 
 def _cmd_enumerate(args):
     if args.n is None:
         raise InputError("enumerate needs --n")
-    q = args.q or 2
+    q = 2 if args.q is None else args.q
     ms = list(enumerate_qmatroids(q, args.n))
     report = {
         "q": q,

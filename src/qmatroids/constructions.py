@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .qmatroid import QMatroid, rank_from_independents  # noqa: F401  (kept importable here)
+from .qmatroid import QMatroid
 from .subspace import (
     DirectSumContext,
     Subspace,

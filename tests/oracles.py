@@ -14,22 +14,43 @@ flat: r(A) = min f(Z) + dim(A + Z) - dim Z.
 a candidate passes when its rank on every nonzero subspace equals the
 free-product target's.  `linear_set_profile_by_stream` profiles a linear
 set by combining the generators afresh for every coefficient vector.
+
+`check_rank_axioms_by_definition` and
+`check_independence_axioms_by_definition` are the pairwise axiom
+checkers: every pair of subspaces for (R2) and (R3), and every pair of
+independent spaces for (I3), with (I4'') tested against every maximal
+independent space of every subspace.  `is_independence_violation`
+confirms an independence witness from the axiom's statement alone.
 """
 
 import functools
 import itertools
 
 from qmatroids.constructions import free_product
+from qmatroids.errors import BudgetError, InputError
 from qmatroids.factorization import free_separators
 from qmatroids.gf import Matrix
-from qmatroids.qmatroid import QMatroid
+from qmatroids.qmatroid import (
+    AxiomVerdict,
+    QMatroid,
+    _fail,
+    _rank_table,
+    rank_from_independents,
+)
 from qmatroids.representation import LinearSetProfile, _combine
 from qmatroids.subspace import (
+    MASK_AMBIENT_LIMIT,
     Subspace,
+    atom_vectors,
+    codim1_subspaces,
     enumerate_subspaces,
     intersect_subspaces,
     lattice_size,
+    orthogonal_complement,
+    require_materialize_budget,
+    subspaces_of,
     sum_subspaces,
+    vector_index,
 )
 
 
@@ -149,3 +170,158 @@ def linear_set_profile_by_stream(system):
             w += 1
         points.append((pt, w))
     return LinearSetProfile(field=field, rank=system.n, points=tuple(points))
+
+
+def check_rank_axioms_by_definition(q: int, n: int, table) -> AxiomVerdict:
+    """Independent oracle for (R2) and (R3) on a table that meets (R1):
+    every unordered pair is tested through element masks, and every
+    violated pair is listed."""
+    if q**n > MASK_AMBIENT_LIMIT:
+        raise BudgetError(f"the pairwise rank check needs element masks of at most {MASK_AMBIENT_LIMIT} vectors")
+    table = _rank_table(q, n, table)
+    failures: list = []
+    items = [(s, r, s.element_mask()) for s, r in table.items()]
+    rank_by_mask = {mask: r for _, r, mask in items}
+    rank_by_pmask = {
+        orthogonal_complement(s).element_mask(): r for s, r, _ in items
+    }
+    pmask = {mask: orthogonal_complement(s).element_mask() for s, _, mask in items}
+    for i in range(len(items)):
+        si, ri, mi = items[i]
+        pi = pmask[mi]
+        for j in range(i + 1, len(items)):
+            sj, rj, mj = items[j]
+            inter = mi & mj
+            if inter == mi:
+                if ri > rj:
+                    _fail(failures, "(R2)", {"sub": si.to_dict(), "sup": sj.to_dict()})
+                continue
+            if inter == mj:
+                if rj > ri:
+                    _fail(failures, "(R2)", {"sub": sj.to_dict(), "sup": si.to_dict()})
+                continue
+            r_sum = rank_by_pmask[pi & pmask[mj]]
+            if ri + rj < r_sum + rank_by_mask[inter]:
+                _fail(failures, "(R3)", {"a": si.to_dict(), "b": sj.to_dict()})
+    return AxiomVerdict(not failures, failures)
+
+
+def check_independence_axioms_by_definition(q: int, n: int, indep) -> AxiomVerdict:
+    """(I1) nonempty at zero, (I2) closed downward, (I3) augmentation,
+    (I4'') the max-extension axiom, quantified exactly as stated: for
+    every A, every I maximal in A, every atom x, some J maximal in A+x
+    satisfies J <= I+x.
+    """
+    require_materialize_budget(q, n)
+    iset = set(indep)
+    for s in iset:
+        if (s.q, s.n) != (q, n):
+            raise InputError("independent space in the wrong ambient")
+    failures: list = []
+    zero = Subspace.zero(q, n)
+    full = Subspace.full(q, n)
+
+    if zero not in iset:
+        _fail(failures, "(I1)", {"space": zero.to_dict()})
+        return AxiomVerdict(False, failures)
+
+    for s in iset:
+        for b in codim1_subspaces(s):
+            if b not in iset:
+                _fail(failures, "(I2)", {"member": s.to_dict(), "missing": b.to_dict()})
+                return AxiomVerdict(False, failures)
+
+    atom_list = list(atom_vectors(full))
+    atom_pos = {v: i for i, v in enumerate(atom_list)}
+
+    # (I3) via extension masks over vector indices.
+    mask = {s: s.element_mask() for s in iset}
+    ext = {}
+    for s in iset:
+        bits = 0
+        for v in atom_list:
+            if not s.contains_vector(v) and s.extend(v) in iset:
+                bits |= 1 << vector_index(q, n, v)
+        ext[s] = bits
+    by_dim: dict[int, list[Subspace]] = {}
+    for s in iset:
+        by_dim.setdefault(s.dim, []).append(s)
+    dims = sorted(by_dim)
+    for d1 in dims:
+        for d2 in dims:
+            if d1 >= d2:
+                continue
+            for i_small in by_dim[d1]:
+                e = ext[i_small]
+                for j_big in by_dim[d2]:
+                    if not (e & mask[j_big]):
+                        _fail(
+                            failures,
+                            "(I3)",
+                            {"i": i_small.to_dict(), "j": j_big.to_dict()},
+                        )
+                        return AxiomVerdict(False, failures)
+
+    # (I4''): mmax(S) = top dimension of a member inside S, by dynamic
+    # programming over hyperplanes (no axiom assumed).  up[S] marks the
+    # atoms whose addition raises mmax; the axiom reduces to the mask
+    # inclusion up[A] <= up[I] for each I maximal in A.
+    mmax = rank_from_independents(q, n, iset)
+    all_subs = list(mmax)
+    up = {}
+    smask = {s: s.element_mask() for s in all_subs}
+    for s in all_subs:
+        bits = 0
+        base = mmax[s]
+        for i, v in enumerate(atom_list):
+            if not s.contains_vector(v) and mmax[s.extend(v)] > base:
+                bits |= 1 << i
+        up[s] = bits
+    for a in all_subs:
+        target = mmax[a]
+        need = up[a]
+        ma = smask[a]
+        for i_max in by_dim.get(target, ()):
+            if mask[i_max] & ma != mask[i_max]:
+                continue
+            bad = need & ~up[i_max]
+            if bad:
+                x = atom_list[(bad & -bad).bit_length() - 1]
+                _fail(
+                    failures,
+                    "(I4'')",
+                    {
+                        "a": a.to_dict(),
+                        "i": i_max.to_dict(),
+                        "x": Subspace(q, n, [x]).to_dict(),
+                    },
+                )
+                return AxiomVerdict(False, failures)
+    return AxiomVerdict(True, failures)
+
+
+def is_independence_violation(indep, failure) -> bool:
+    """Whether the witness of a failed independence check violates the
+    axiom it names, in a family of subspaces."""
+    iset = set(indep)
+    w = {k: Subspace.from_dict(v) for k, v in failure["witness"].items()}
+    axiom = failure["axiom"]
+    if axiom == "(I1)":
+        return w["space"].dim == 0 and w["space"] not in iset
+    if axiom == "(I2)":
+        s, b = w["member"], w["missing"]
+        return s in iset and b not in iset and s.contains(b) and b.dim == s.dim - 1
+    if axiom == "(I3)":
+        i, j = w["i"], w["j"]
+        return i in iset and j in iset and i.dim < j.dim and not any(
+            sum_subspaces(i, x) in iset for x in subspaces_of(j, [1]) if not i.contains(x))
+
+    def top(space):
+        inside = [t for t in iset if space.contains(t)]
+        d = max(t.dim for t in inside)
+        return [t for t in inside if t.dim == d]
+
+    a, i, x = w["a"], w["i"], w["x"]
+    ix = sum_subspaces(i, x)
+    return axiom == "(I4'')" and x.dim == 1 and i in top(a) and not any(
+        ix.contains(j) for j in top(sum_subspaces(a, x)))

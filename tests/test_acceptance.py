@@ -20,7 +20,6 @@ from qmatroids.constructions import (
     free_product,
     free_product_by_formula,
     free_product_independents,
-    rank_from_independents,
     weak_compare_identity,
 )
 from qmatroids.factorization import (
@@ -39,6 +38,7 @@ from qmatroids.qmatroid import (
     enumerate_qmatroids,
     full_rank_table,
     phi_dual,
+    rank_from_independents,
     rank_tables_equal,
 )
 from qmatroids.subspace import Subspace, enumerate_subspaces

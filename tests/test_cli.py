@@ -232,8 +232,18 @@ def test_enumerate_verb(capsys):
 
 
 def test_enumerate_budget_exit(capsys):
-    assert main(["enumerate", "--n", "4"]) == 3
-    assert "budget" in capsys.readouterr().err
+    for argv in (["--n", "4"], ["--n", "2", "--q", "3"]):
+        assert main(["enumerate", *argv]) == 3
+        assert "budget" in capsys.readouterr().err
+
+
+def test_unsupported_field_size_exits_2(capsys, docs):
+    # --q 0 is not the default field; 4 is not a prime, so no budget applies
+    assert main(["enumerate", "--n", "2", "--q", "0"]) == 2
+    assert main(["verify-free-product-rep", docs["g16"], "--n1", "2", "--k1", "1",
+                 "--q", "0"]) == 2
+    assert main(["enumerate", "--n", "2", "--q", "4"]) == 2
+    capsys.readouterr()
 
 
 def test_invariant_error_exits_4(capsys, monkeypatch, docs):

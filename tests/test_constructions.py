@@ -19,7 +19,6 @@ from qmatroids.constructions import (
     free_product_independents,
     free_product_rank,
     is_free_product_independent,
-    rank_from_independents,
     weak_below_by_flats,
     weak_compare_identity,
 )
@@ -30,6 +29,7 @@ from qmatroids.qmatroid import (
     full_rank_table,
     is_isomorphic,
     phi_dual,
+    rank_from_independents,
     rank_tables_equal,
 )
 from qmatroids.subspace import DirectSumContext, Subspace, enumerate_subspaces

@@ -10,7 +10,12 @@ import random
 
 import pytest
 
-from oracles import rank_by_min_formula
+from oracles import (
+    check_independence_axioms_by_definition,
+    check_rank_axioms_by_definition,
+    is_independence_violation,
+    rank_by_min_formula,
+)
 from qmatroids import qmatroid
 from qmatroids.constructions import direct_sum, free_product, free_product_rank
 from qmatroids.errors import BudgetError, InputError
@@ -19,7 +24,6 @@ from qmatroids.qmatroid import (
     check_cyclic_flat_axioms,
     check_independence_axioms,
     check_rank_axioms,
-    check_rank_axioms_by_definition,
     cyclic_flats_by_scan,
     dual_by_definition,
     enumerate_qmatroids,
@@ -201,6 +205,41 @@ def test_independence_axiom_i4_is_not_implied_by_the_rest():
     v = check_independence_axioms(2, 3, fam)
     assert not v.ok
     assert v.failed_axioms() == {"(I4'')"}
+
+
+def _downward_closed(q, n, fam):
+    """The members of fam all of whose hyperplanes are kept, bottom up."""
+    kept = set()
+    for s in sorted(enumerate_subspaces(q, n), key=Subspace.sort_key):
+        if s in fam and all(b in kept for b in codim1_subspaces(s)):
+            kept.add(s)
+    return kept
+
+
+def test_independence_check_matches_the_pairwise_oracle():
+    # perturbed independence families; the downward-closed ones pass
+    # (I1) and (I2) and are decided by the rank walk alone
+    rng = random.Random(12)
+    bases = [U(q, n, k) for q, n in ((2, 3), (2, 4), (3, 3)) for k in range(n + 1)]
+    bases += [free_product(U(2, 1, 1), U(2, 2, 1)), free_product(U(2, 2, 1), U(2, 2, 1)),
+              free_product(U(2, 1, 0), U(2, 3, 2)), free_product(U(2, 3, 2), U(2, 1, 1)),
+              diagonal_flat_matroid()]
+    families = [(m, set(m.independent_spaces()), list(enumerate_subspaces(m.q, m.n)))
+                for m in bases]
+    named = []
+    for trial in range(420):
+        m, base, spaces = families[trial % len(families)]
+        fam = base ^ set(rng.sample(spaces, rng.randrange(1, 4)))  # membership flips
+        if rng.random() < 0.6:
+            fam = _downward_closed(m.q, m.n, fam)
+        walk = check_independence_axioms(m.q, m.n, fam)
+        pairwise = check_independence_axioms_by_definition(m.q, m.n, fam)
+        assert walk.ok == pairwise.ok
+        for failure in walk.failures + pairwise.failures:
+            assert is_independence_violation(fam, failure), failure
+        named += walk.failed_axioms()
+    # every translation of a walk failure must be exercised
+    assert set(named) == {"(I1)", "(I2)", "(I3)", "(I4'')"}
 
 
 def test_closure_is_a_closure_operator():

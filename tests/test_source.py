@@ -36,6 +36,17 @@ def test_one_function_walks_the_hyperplanes():
     assert callers == {"qmatroid.py:_rank_walk"}
 
 
+def test_independence_check_runs_the_rank_walk():
+    # the independence axioms are decided by the rank axioms of the rank
+    # function the family generates; a pairwise sweep of members is the
+    # test oracle, not a second checker
+    tree = ast.parse((SRC / "qmatroid.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "check_independence_axioms")
+    called = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "_rank_walk" in called
+
+
 def test_one_module_starts_processes():
     # the coupling search keeps the one process pool; the Vámos scan is
     # the rank walk on one process and has no workers to set
