@@ -41,14 +41,6 @@ from .representation import (
 )
 from .subspace import Subspace, json_int
 
-VERBS = (
-    "verify-axioms", "cyclic-flats", "rank", "free-product", "direct-sum",
-    "dual", "restrict", "contract", "minor", "weak-compare", "factorize",
-    "irreducible", "from-matrix", "club-check", "evasive-check", "search-x",
-    "verify-free-product-rep", "enumerate",
-)
-
-
 # ---------------------------------------------------------------------------
 # Input documents
 
@@ -189,7 +181,7 @@ def _cmd_verify_axioms(args):
     return report, text, 0 if verdict.ok else 1
 
 
-def _vamos_scan_lattice(args, m: QMatroid):
+def _vamos_scan_lattice(m: QMatroid):
     if m.to_dict() != vamos_qmatroid(m.q).to_dict():
         raise InputError("--budget vamos only applies to the builtin vamos input")
     pairs = vamos_cyclic_flats_scan(m.q, progress=True)
@@ -200,7 +192,7 @@ def _cmd_cyclic_flats(args):
     m = _load_matroid(args.doc)
     scanned = args.budget == "vamos"
     if scanned:
-        m = _vamos_scan_lattice(args, m)
+        m = _vamos_scan_lattice(m)
     report = _lattice_report(m.cyclic_flats())
     report["scanned"] = scanned
     return report, _lattice_text(report), 0
@@ -274,7 +266,7 @@ def _cmd_irreducible(args):
     m = _load_matroid(args.doc)
     scanned = args.budget == "vamos"
     if scanned:
-        m = _vamos_scan_lattice(args, m)
+        m = _vamos_scan_lattice(m)
     ok, witness = irreducibility_verdict(m)
     report = {
         "irreducible": ok,
@@ -372,17 +364,23 @@ _HANDLERS = {
     "verify-free-product-rep": _cmd_verify_free_product_rep,
     "enumerate": _cmd_enumerate,
 }
+VERBS = tuple(_HANDLERS)
 
 
 @functools.cache  # building the parser costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--budget", choices=("default", "vamos"), default="default")
-    common.add_argument("--q", type=int, default=None)
-    common.add_argument("--modulus", default=None,
-                        help="field modulus coefficients, low degree first, e.g. 1,1,0,0,1")
+    def option(*flags, **kw):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kw)
+        return p
+
+    # --format goes to every verb; each other option only to the verbs that read it
+    fmt = option("--format", choices=("json", "text"), default="text")
+    modulus = option("--modulus", default=None,
+                     help="field modulus coefficients, low degree first, e.g. 1,1,0,0,1")
+    field_q = option("--q", type=int, default=None, help="base field size")
+    workers = option("--workers", type=int, default=1, help="search processes")
+    budget = option("--budget", choices=("default", "vamos"), default="default")
 
     parser = argparse.ArgumentParser(
         prog="qmatroids",
@@ -390,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, **positionals):
-        p = sub.add_parser(name, parents=[common])
+    def verb(name, *options, **positionals):
+        p = sub.add_parser(name, parents=[fmt, *options])
         for arg, help_text in positionals.items():
             p.add_argument(arg, help=help_text)
         return p
 
     verb("verify-axioms", doc="q-matroid document")
-    verb("cyclic-flats", doc="q-matroid document")
+    verb("cyclic-flats", budget, doc="q-matroid document")
     verb("rank", doc="q-matroid document", space="subspace document")
     verb("free-product", doc="left factor", doc2="right factor")
     verb("direct-sum", doc="left summand", doc2="right summand")
@@ -407,17 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     verb("minor", doc="q-matroid document", sub="lower subspace", sup="upper subspace")
     verb("weak-compare", doc="first q-matroid", doc2="second q-matroid")
     verb("factorize", doc="q-matroid document")
-    verb("irreducible", doc="q-matroid document")
-    verb("from-matrix", matrix="matrix document")
-    verb("club-check", matrix="matrix document")
-    p = verb("evasive-check", matrix="matrix document")
+    verb("irreducible", budget, doc="q-matroid document")
+    verb("from-matrix", modulus, field_q, matrix="matrix document")
+    verb("club-check", modulus, matrix="matrix document")
+    p = verb("evasive-check", modulus, matrix="matrix document")
     p.add_argument("--k1", type=int, required=True, help="distinguished block dimension")
     p.add_argument("--h", dest="bound", type=int, required=True, help="intersection bound")
-    verb("search-x", matrix="left matrix document", matrix2="right matrix document")
-    p = verb("verify-free-product-rep", matrix="matrix document")
+    verb("search-x", modulus, workers, matrix="left matrix document",
+         matrix2="right matrix document")
+    p = verb("verify-free-product-rep", modulus, field_q, matrix="matrix document")
     p.add_argument("--n1", type=int, required=True, help="ground split position")
     p.add_argument("--k1", type=int, required=True, help="left factor rank")
-    p = verb("enumerate")
+    p = verb("enumerate", field_q)
     p.add_argument("--n", type=int, default=None, help="ambient dimension")
     return parser
 

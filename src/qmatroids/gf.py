@@ -9,8 +9,8 @@ function, so handles and elements can be shared freely across threads
 and worker processes.
 
 Only desk-scale fields are supported: q must be a prime at most 13 and
-q^m may not exceed 2^20.  Nothing here aims at sub-cubic linear algebra
-or sparse representations; matrices are dense tuples of tuples.
+q^m may not exceed 2^20.  Matrices are dense tuples of tuples, and the
+only linear algebra on them is their rank (`span_rank`).
 """
 
 from __future__ import annotations
@@ -481,62 +481,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows!r})"
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else self
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise InputError("matrix fields differ")
-        if self.ncols != other.nrows:
-            raise InputError("matrix shapes incompatible")
-        F = self.field
-        cols = other.transpose().rows
-        out = [
-            [_dot(F, r, c) for c in cols]
-            for r in self.rows
-        ]
-        return Matrix(F, out)
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
-
-
-def _dot(F, u, v) -> int:
-    acc = F.zero
-    for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
-def rref(M: Matrix):
-    """Reduced row echelon form.
-
-    Returns (R, rank, pivots) where R is row-equivalent to M with the
-    same shape (zero rows at the bottom) and pivots lists the pivot
-    column of each nonzero row.
-    """
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(M.ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return Matrix(F, rows), r, tuple(pivots)
-
 
 def span_rank(F, vectors) -> int:
     """Dimension of the span of row vectors over F, by online elimination.
@@ -563,19 +507,3 @@ def span_rank(F, vectors) -> int:
 
 def matrix_rank(M: Matrix) -> int:
     return span_rank(M.field, M.rows)
-
-
-def kernel(M: Matrix) -> Matrix:
-    """A canonical (RREF) basis of the right null space, one row per vector."""
-    F = M.field
-    R, rank, pivots = rref(M)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [F.zero] * M.ncols
-        v[f] = F.one
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(R.rows[i][f])
-        basis.append(v)
-    K = Matrix(F, basis)
-    return rref(K)[0] if basis else K

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -401,10 +402,14 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
     k under every candidate: passing means having exactly the target's
     bases.  The target's flats are scanned once per call against the
     cyclic-flat profile of verify_free_product_rep, and the first hit is
-    re-verified literally.
+    re-verified literally.  The candidates are split over at most
+    `workers` processes, and never more than os.cpu_count(); the hits
+    come out in the same order for every worker count.
     """
     if G1.field != G2.field:
         raise InputError("both factors must be represented over one field")
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     field = G1.field
     fq = field.q
     if q is None:
@@ -440,6 +445,7 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
         elif intersect_subspaces(s, seam).dim <= k1:
             raise InvariantError("a target non-basis meets the seam in at most k1 dimensions")
     task = (q, field.m, field.modulus, G1.rows, G2.rows, bases)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # contiguous lead ranges, one task per worker
         step = -(-field.order // workers)

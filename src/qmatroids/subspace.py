@@ -15,13 +15,13 @@ Vectors have two packed formats.  For q = 2 a vector is a machine
 integer with bit i holding coordinate i (the pivot of a row is its
 lowest set bit); for odd primes it is a tuple of residues.  Only the
 vector primitives know the two formats: the elimination kernels
-(`_rref`, `_reduce` and the row insertion in `Subspace.extend`),
-`_nonzero`, `_axpy` (y + c*x), `_concat` and `_split` of coordinate
-blocks, `pack_vector`, `unpack_vector`, `vector_index` and
-`Subspace.elements`.  Every lattice operation is written once on top of
-them.  GF(2) keeps its own bit-packed elimination because it is several
-times faster than the generic one on residue tuples, and elimination is
-where the sweeps spend their time.  Its XOR listing of elements builds
+`_rref` and `_reduce`, `_nonzero`, `_axpy` (y + c*x), `_concat` and
+`_split` of coordinate blocks, `pack_vector`, `unpack_vector`,
+`vector_index` and `Subspace.elements`.  Every lattice operation,
+`Subspace.extend` included, is written once on top of them.  GF(2)
+keeps its own bit-packed elimination because it is several times faster
+than the generic one on residue tuples, and elimination is where the
+sweeps spend their time.  Its XOR listing of elements builds
 the element masks of certificate ranks twice as fast as `_axpy`.
 
 Scale limits are deliberate: q is a prime at most 13, and any function
@@ -273,36 +273,7 @@ class Subspace:
         vred = _reduce(self.q, v, self.rows)
         if not _nonzero(self.q, vred):
             return self
-        if self.q == 2:
-            b = vred & -vred
-            out = []
-            placed = False
-            for r in self.rows:
-                if r & b:
-                    r ^= vred
-                if not placed and (r & -r) > b:
-                    out.append(vred)
-                    placed = True
-                out.append(r)
-            if not placed:
-                out.append(vred)
-            return Subspace._make(self.q, self.n, tuple(out))
-        p = _pivot_index(vred)
-        inv = pow(vred[p], self.q - 2, self.q)
-        vred = tuple((inv * x) % self.q for x in vred)
-        out = []
-        placed = False
-        for r in self.rows:
-            f = r[p]
-            if f:
-                r = tuple((x - f * y) % self.q for x, y in zip(r, vred))
-            if not placed and _pivot_index(r) > p:
-                out.append(vred)
-                placed = True
-            out.append(r)
-        if not placed:
-            out.append(vred)
-        return Subspace._make(self.q, self.n, tuple(out))
+        return Subspace._make(self.q, self.n, _rref(self.q, self.rows + (vred,)))
 
     # -- element streams -------------------------------------------------
     def elements(self) -> list:

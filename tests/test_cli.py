@@ -210,6 +210,20 @@ def test_search_x_verb(capsys, docs):
     assert out.splitlines()[0] == "8 coupling blocks out of 16 candidates"
 
 
+def test_options_go_only_to_the_verbs_that_read_them(capsys, docs):
+    # --q means nothing to a document that names its own field, and only
+    # the coupling search starts processes
+    for argv in (["cyclic-flats", docs["u12"], "--q", "3"],
+                 ["rank", docs["u24"], docs["point"], "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, rep = run_json(capsys, ["search-x", docs["g1"], docs["g2"], "--workers", "2"])
+    assert code == 0 and rep["count"] == 8
+    assert main(["search-x", docs["g1"], docs["g2"], "--workers", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_search_x_negative_exit(capsys, docs):
     code, rep = run_json(capsys, ["search-x", docs["g1"], docs["g2bad"]])
     assert code == 1 and rep["count"] == 0 and rep["searched"] == 16

@@ -172,6 +172,37 @@ def test_search_parallel_matches_serial():
     assert [h.rows for h in serial] == [h.rows for h in parallel]
 
 
+def test_search_pool_is_bounded_by_the_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps in process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    G1, G2 = pair16()
+    serial = [h.rows for h in search_x(G1, G2)]
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
+    for cpus, asked, size in ((3, 64, 3), (8, 2, 2), (None, 64, None), (1, 4, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert [h.rows for h in search_x(G1, G2, workers=asked)] == serial
+        assert sizes == ([] if size is None else [size])
+    for bad in (0, -1):
+        with pytest.raises(InputError):
+            search_x(G1, G2, workers=bad)
+
+
 def _search_pairs():
     """(G1, G2, hits) cases for the differential search test."""
     G1, G2 = pair16()

@@ -63,3 +63,36 @@ def test_one_module_starts_processes():
                 importers.add(path.name)
     assert importers == {"representation.py"}
     assert "workers" not in inspect.signature(vamos_cyclic_flats_scan).parameters
+
+
+def _compares_q_with_2(node):
+    if not isinstance(node, ast.Compare) or not any(isinstance(op, ast.Eq) for op in node.ops):
+        return False
+    sides = [node.left, *node.comparators]
+    is_q = [getattr(x, "id", getattr(x, "attr", None)) == "q" for x in sides]
+    is_2 = [isinstance(x, ast.Constant) and x.value == 2 for x in sides]
+    return any(is_q) and any(is_2)
+
+
+def test_one_elimination_per_vector_format():
+    # only the vector-format layer of subspace.py tells q = 2 apart, so
+    # every lattice operation, extend included, runs on its kernels; and
+    # gf's one elimination over field elements is span_rank
+    tree = ast.parse((SRC / "subspace.py").read_text())
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+        else:
+            scopes.append(("<module>", node))
+    branching = {name for name, scope in scopes
+                 if any(_compares_q_with_2(node) for node in ast.walk(scope))}
+    assert branching == {"_rref", "_reduce", "_nonzero", "_axpy", "_concat", "_split",
+                         "pack_vector", "unpack_vector", "vector_index", "Subspace.elements"}
+    gf = ast.parse((SRC / "gf.py").read_text())
+    defined = {node.name for node in ast.walk(gf)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "span_rank" in defined and not defined & {"rref", "kernel"}

@@ -101,6 +101,15 @@ def test_extend_and_contains_vector():
     b = a.extend(v)
     assert b.dim == 1 and b.contains_vector(v)
     assert b.extend(v) == b
+    # every (subspace, vector) pair: extend is the span of the rows and v,
+    # and a vector already inside gives back the subspace itself
+    for q, n in ((2, 4), (3, 3), (5, 2)):
+        vectors = [pack_vector(q, n, c) for c in itertools.product(range(q), repeat=n)]
+        for s in enumerate_subspaces(q, n):
+            for v in vectors:
+                ext = s.extend(v)
+                assert ext.rows == Subspace(q, n, list(s.rows) + [v]).rows
+                assert (ext is s) == s.contains_vector(v)
 
 
 def test_modular_law_exhaustive_gf2():
