@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .errors import InputError, InvariantError
 from .qmatroid import QMatroid
 from .subspace import (
+    SMALL_LATTICE_LIMIT,
     DirectSumContext,
     Subspace,
     enumerate_subspaces,
@@ -35,10 +36,6 @@ from .subspace import (
     subspaces_of,
     sum_subspaces,
 )
-
-# New products are swept against the closed rank formula when the
-# ambient lattice has at most this many subspaces.
-VALIDATE_LATTICE_LIMIT = 4096
 
 
 def _split_context(m1: QMatroid, m2: QMatroid) -> DirectSumContext:
@@ -54,8 +51,8 @@ def free_product(m1: QMatroid, m2: QMatroid, validate: bool | None = None) -> QM
     """The free product of m1 and m2 on F_q^{n1+n2}, certificate-backed.
 
     validate=None sweeps the result against the closed rank formula on
-    small ambients and skips the sweep on large ones; True forces it,
-    False skips it.
+    ambients of at most SMALL_LATTICE_LIMIT subspaces and skips the sweep
+    on larger ones; True forces it, False skips it.
     """
     ctx = _split_context(m1, m2)
     q = m1.q
@@ -72,7 +69,7 @@ def free_product(m1: QMatroid, m2: QMatroid, validate: bool | None = None) -> QM
             pairs.append((sum_subspaces(e1, ctx.embed2(z)), r1e + f))
     out = QMatroid.from_cyclic_flats(q, ctx.n, pairs, validate=False)
     if validate is None:
-        validate = lattice_size(q, ctx.n) <= VALIDATE_LATTICE_LIMIT
+        validate = lattice_size(q, ctx.n) <= SMALL_LATTICE_LIMIT
     if validate:
         for x in enumerate_subspaces(q, ctx.n):
             want = free_product_rank(m1, m2, x)

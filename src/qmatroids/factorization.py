@@ -22,9 +22,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .constructions import VALIDATE_LATTICE_LIMIT, free_product_chain
+from .constructions import free_product_chain
 from .qmatroid import QMatroid, _rank_walk, rank_tables_equal, transport
 from .subspace import (
+    SMALL_LATTICE_LIMIT,
     Subspace,
     enumerate_subspaces,
     intersect_subspaces,
@@ -129,7 +130,7 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
 
     The reconstruction (free product of the factors equals m after the
     adapted change of basis) is checked on the ambients that free_product
-    sweeps too: at most VALIDATE_LATTICE_LIMIT subspaces.
+    sweeps too: at most SMALL_LATTICE_LIMIT subspaces.
     """
     if m.n == 0:
         raise InputError("cannot factorize a q-matroid on a zero space")
@@ -143,7 +144,7 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
         kinds.append("uniform" if factor.is_uniform() else "irreducible")
         adapted.extend(qm.kept)
     verified = False
-    if lattice_size(m.q, m.n) <= VALIDATE_LATTICE_LIMIT and len(factors) >= 1:
+    if lattice_size(m.q, m.n) <= SMALL_LATTICE_LIMIT and len(factors) >= 1:
         rebuilt = free_product_chain(factors)
         if not rank_tables_equal(rebuilt, transport(m, adapted)):
             raise InvariantError(

@@ -24,7 +24,8 @@ MAX_BASE_PRIME = 13
 MAX_EXT_ORDER = 1 << 20
 
 # Log/antilog tables are built eagerly for primitive moduli up to this
-# order; beyond it multiplication falls back to polynomial arithmetic.
+# order; beyond it multiplication falls back to polynomial arithmetic,
+# and odd-q addition to coefficient vectors.
 _LOG_TABLE_LIMIT = 1 << 16
 
 
@@ -291,7 +292,7 @@ class ExtField:
         self.order = order
         self._mod_int = sum(c << i for i, c in enumerate(mod)) if q == 2 else None
         self.generator = self.encode((0, 1)) if m > 1 else (-mod[0]) % q
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = None
         self.is_primitive = self._check_primitive()
         if self.is_primitive and order <= _LOG_TABLE_LIMIT:
             self._build_tables()
@@ -328,12 +329,32 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        if self._log is None or not a or not b:
+            return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return self._add_logs(self._log[a], self._log[b])
 
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.encode(x - y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        if self._log is None or not a or not b:
+            return self.encode(x - y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        # -1 = g^((order - 1)/2) for odd q
+        return self._add_logs(self._log[a], self._log[b] + (self.order - 1) // 2)
+
+    def _add_logs(self, i: int, j: int) -> int:
+        """g^i + g^j as a g^i (1 + g^(j-i)), by the table of log(1 + g^k)
+        (None where 1 + g^k = 0), built on first use."""
+        n = self.order - 1
+        zech = self._zech
+        if zech is None:
+            one = self.coeffs(1)
+            zech = [None] * n
+            for k, v in enumerate(self._exp):
+                s = self.encode(x + y for x, y in zip(one, self.coeffs(v)))
+                zech[k] = self._log[s] if s else None
+            self._zech = zech
+        k = zech[(j - i) % n]
+        return 0 if k is None else self._exp[(i + k) % n]
 
     def neg(self, a: int) -> int:
         if self.q == 2:

@@ -61,6 +61,16 @@ from .subspace import (
 # group order; larger groups yield an "unknown" verdict.
 GL_SEARCH_LIMIT = 2 * 10**7
 
+# A certificate rank query whose element mask is not built yet takes one
+# sum_subspaces per flat once q^dim A exceeds this many vectors per flat.
+# Per query on the 9-flat acceptance-11 product over F_2^13 the routes
+# cross between dim 8 (256 vectors: masks 137 us, sums 192 us) and dim 9
+# (512: masks 264 us, sums 197 us).  Over F_3 a mask costs about 2.5 us
+# a vector, so one query crosses nearer 12 vectors a flat; the bound stays
+# at 40 there because the subspaces of a small lattice are shared (see
+# subspace.SMALL_LATTICE_LIMIT) and keep their masks for every later sweep.
+SUMS_VECTORS_PER_FLAT = 40
+
 
 @dataclass
 class AxiomVerdict:
@@ -159,23 +169,27 @@ class QMatroid:
         A certificate backing takes dim(a) + min(f(Z) - dim(a meet Z))
         over its flats Z.  While q^n <= MASK_AMBIENT_LIMIT, a meet Z is
         counted as popcount(mask(a) & mask(Z)) = q^dim(a meet Z): the
-        flats' masks and a {q^i: i} table are built on the first query
-        and a's mask is cached on a, so each flat costs one AND, one bit
-        count and one lookup.  Above the bound a mask costs more than
-        the eliminations, and each flat takes one sum_subspaces in
+        flats' masks and a {q^i: i} table are built on the first such
+        query and a's mask is cached on a, so each flat costs one AND,
+        one bit count and one lookup.  Above the bound, or when a has no
+        mask yet and q^dim(a) passes SUMS_VECTORS_PER_FLAT vectors per
+        flat, building the mask costs more than the eliminations, and
+        each flat takes one sum_subspaces in
         r(a) = min(f(Z) + dim(a + Z) - dim Z).
         """
         if (a.q, a.n) != (self.q, self.n):
             raise InputError(f"subspace of F_{a.q}^{a.n} given to a q-matroid on F_{self.q}^{self.n}")
         if self._table is not None:
             return self._table[a]
+        q, n, certs = self.q, self.n, self._certs
+        if a._mask is None and (
+            q**n > MASK_AMBIENT_LIMIT or q**a.dim > SUMS_VECTORS_PER_FLAT * len(certs)
+        ):
+            return min(f + sum_subspaces(a, z).dim - z.dim for z, f in certs)
         masks = self._flat_masks
         if masks is None:
-            q, n = self.q, self.n
-            if q**n > MASK_AMBIENT_LIMIT:
-                return min(f + sum_subspaces(a, z).dim - z.dim for z, f in self._certs)
             log = {q**i: i for i in range(n + 1)}
-            masks = log, tuple((f, z.element_mask()) for z, f in self._certs)
+            masks = log, tuple((f, z.element_mask()) for z, f in certs)
             object.__setattr__(self, "_flat_masks", masks)
         log, flats = masks
         ma = a.element_mask()

@@ -4,12 +4,13 @@ A subspace is identified by the reduced row echelon basis of its row
 space, so equality and hashing are exact and independent of how the
 space was presented.  All objects here are immutable values, safe to
 share between threads; the only mutation anywhere is idempotent
-caching: a subspace's element mask, and per field and dimension the
-zero vector, the unit vectors and the hyperplane functionals.  A
-Subspace does not unpickle, because unpickling sets its slots through
-the blocking __setattr__, so it cannot cross to a worker process: a
-process pool exchanges plain rows of field elements or coefficients, as
-the coupling search does, and rebuilds subspaces on its own side.
+caching: a subspace's element mask, per field and dimension the zero
+vector, the unit vectors and the hyperplane functionals, and the small
+lattices below.  A Subspace does not unpickle, because unpickling sets
+its slots through the blocking __setattr__, so it cannot cross to a
+worker process: a process pool exchanges plain rows of field elements
+or coefficients, as the coupling search does, and rebuilds subspaces on
+its own side.
 
 Vectors have two packed formats.  For q = 2 a vector is a machine
 integer with bit i holding coordinate i (the pivot of a row is its
@@ -28,12 +29,20 @@ Scale limits are deliberate: q is a prime at most 13, and any function
 that enumerates vectors or subspaces refuses ambients with more than
 2^10 vectors (larger jobs must stream through dimension strata on the
 caller's side); element masks stop at 2^13 vectors.
+
+A lattice of at most SMALL_LATTICE_LIMIT subspaces is built once per
+process: its strata, and from the first hyperplane_walk on their
+hyperplane ids, are kept in a memo that every sweep reads, so all
+sweeps of F_2^6 meet the same Subspace objects and each element mask
+is built once.  There are 28 such lattices, 7563 subspaces in all;
+bigger lattices stream.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, InvariantError
@@ -46,6 +55,9 @@ from .gf import is_prime, MAX_BASE_PRIME
 STREAM_AMBIENT_LIMIT = 1 << 10
 MATERIALIZE_LIMIT = 1 << 16
 MASK_AMBIENT_LIMIT = 1 << 13
+# Lattices with at most this many subspaces are kept once built, and are
+# small enough for products and factorizations to be swept in full.
+SMALL_LATTICE_LIMIT = 4096
 
 
 def _check_q(q: int) -> None:
@@ -474,22 +486,48 @@ def rref_rows_for_pattern(q: int, n: int, pattern) -> Iterator[tuple]:
     return itertools.product(*choices)
 
 
+def _stream_stratum(q: int, n: int, k: int) -> Iterator[Subspace]:
+    """The k-dimensional subspaces of F_q^n, built one by one."""
+    for pattern in itertools.combinations(range(n), k):
+        for rows in rref_rows_for_pattern(q, n, pattern):
+            yield Subspace._make(q, n, rows)
+
+
+# (q, n) -> [strata, hyperplane ids]: the strata as tuples of Subspace,
+# and once a hyperplane_walk has run to the end, the ids of each stratum
+# as one flat array, subspace by subspace.
+_LATTICES: dict[tuple[int, int], list] = {}
+
+
+def _small_lattice(q: int, n: int) -> list | None:
+    """The memo entry of F_q^n, built on first use; None for a lattice
+    above SMALL_LATTICE_LIMIT, which streams."""
+    entry = _LATTICES.get((q, n))
+    if entry is None:
+        if n < 0 or q**n > STREAM_AMBIENT_LIMIT or lattice_size(q, n) > SMALL_LATTICE_LIMIT:
+            return None
+        strata = tuple(tuple(_stream_stratum(q, n, k)) for k in range(n + 1))
+        entry = _LATTICES[(q, n)] = [strata, None]
+    return entry
+
+
 def enumerate_subspaces(q: int, n: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
     """Every subspace of F_q^n exactly once, grouped by ascending dimension.
 
     Deterministic order within a dimension: pivot patterns
     lexicographically, then the free entries in positional counting order.
+    A small lattice (see SMALL_LATTICE_LIMIT) yields the same objects on
+    every call.
     """
     _check_q(q)
     _check_stream_budget(q, n)
     if dims is None:
         dims = range(n + 1)
+    entry = _small_lattice(q, n)
     for k in dims:
         if not 0 <= k <= n:
             raise InputError(f"dimension {k} out of range for ambient {n}")
-        for pattern in itertools.combinations(range(n), k):
-            for rows in rref_rows_for_pattern(q, n, pattern):
-                yield Subspace._make(q, n, rows)
+        yield from (_stream_stratum(q, n, k) if entry is None else entry[0][k])
 
 
 def subspaces_of(a: Subspace, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
@@ -515,17 +553,26 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple[int, ...]]]]:
+def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[Sequence[int]]]]:
     """The lattice of F_q^n one dimension stratum at a time.
 
     Yields (stratum, hyperplanes) for d = 0..n: the d-dimensional
     subspaces in enumeration order, and for each of them the ids
     (positions in the previous stratum) of its hyperplanes, in
     codim1_subspaces order.  Hyperplanes are looked up by their rows, so
-    no elimination runs, and the walk itself holds at most two adjacent
+    no elimination runs.  A small lattice (see SMALL_LATTICE_LIMIT) keeps
+    the ids of the first walk that runs to the end and later walks
+    replay them; above the limit the walk holds at most two adjacent
     strata.
     """
+    entry = _small_lattice(q, n)
+    if entry is not None and entry[1] is not None:
+        for stratum, ids in zip(*entry):
+            h = len(ids) // len(stratum)  # (q^d - 1)/(q - 1) hyperplanes each
+            yield list(stratum), [ids[i * h:(i + 1) * h] for i in range(len(stratum))]
+        return
     index: dict[tuple, int] = {}
+    built = []
     for d in range(n + 1):
         stratum = list(enumerate_subspaces(q, n, [d]))
         expect = gaussian_binomial(n, d, q)
@@ -537,8 +584,12 @@ def hyperplane_walk(q: int, n: int) -> Iterator[tuple[list[Subspace], list[tuple
             hypers = [tuple([index[h] for h in _hyperplane_rows(q, s.rows)]) for s in stratum]
         except KeyError as e:
             raise InvariantError(f"hyperplane rows {e} are not in the stratum below") from None
+        if entry is not None:
+            built.append(array("H", itertools.chain.from_iterable(hypers)))
         yield stratum, hypers
         index = {s.rows: i for i, s in enumerate(stratum)}
+    if entry is not None:
+        entry[1] = tuple(built)
 
 
 def lattice_size(q: int, n: int) -> int:

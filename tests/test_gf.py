@@ -146,6 +146,41 @@ def test_ext_inverse_and_coeff_round_trip():
             F.inv(0)
 
 
+def _primitive_field(q, m):
+    """GF(q^m) on the first primitive modulus, so it has log tables."""
+    for tail in range(q**m):
+        mod = tuple((tail // q**i) % q for i in range(m)) + (1,)
+        if is_irreducible(mod, q):
+            F = ExtField(q, m, mod)
+            if F.is_primitive:
+                return F
+
+
+def test_odd_ext_add_sub_by_logs_match_coefficients():
+    def by_coeffs(F, x, y, sign):
+        return F.encode(a + sign * b for a, b in zip(F.coeffs(x), F.coeffs(y)))
+
+    for m in (2, 3, 4):
+        F = _primitive_field(3, m)
+        assert F._log is not None
+        for x in range(F.order):
+            for y in range(F.order):
+                assert F.add(x, y) == by_coeffs(F, x, y, 1)
+                assert F.sub(x, y) == by_coeffs(F, x, y, -1)
+    rng = random.Random(36)
+    for F in (_primitive_field(3, 6), ext_field_new(3, 6), _primitive_field(5, 3)):
+        assert F._log is not None
+        for _ in range(3000):
+            x, y = rng.randrange(F.order), rng.randrange(F.order)
+            assert F.add(x, y) == by_coeffs(F, x, y, 1)
+            assert F.sub(x, y) == by_coeffs(F, x, y, -1)
+            assert F.sub(x, x) == 0
+    # GF(3^2) on x^2 + 1 is not primitive: no tables, the coefficient route
+    F = ext_field_new(3, 2)
+    assert F._log is None
+    assert F.add(F.generator, F.generator) == F.encode((0, 2))
+
+
 def test_non_primitive_modulus_still_works():
     F = ExtField(2, 4, (1, 1, 1, 1, 1))
     assert not F.is_primitive

@@ -20,6 +20,7 @@ from qmatroids import qmatroid
 from qmatroids.constructions import direct_sum, free_product, free_product_rank
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.qmatroid import (
+    SUMS_VECTORS_PER_FLAT,
     QMatroid,
     check_cyclic_flat_axioms,
     check_independence_axioms,
@@ -325,7 +326,9 @@ def test_certificate_rank_matches_the_min_formula():
 
 def test_certificate_rank_above_the_mask_bound(monkeypatch):
     # F_2^13 is the largest ambient on element masks, F_2^14 the smallest
-    # on one sum_subspaces per flat.
+    # on one sum_subspaces per flat for every query.  On masks, a query
+    # without a mask takes the sums when it has more than
+    # SUMS_VECTORS_PER_FLAT vectors per flat.
     rng = random.Random(14)
     sums = []
     monkeypatch.setattr(qmatroid, "sum_subspaces", lambda a, b: sums.append(a) or sum_subspaces(a, b))
@@ -333,13 +336,57 @@ def test_certificate_rank_above_the_mask_bound(monkeypatch):
     for n2 in (7, 8):
         m2 = direct_sum(U(2, n2 // 2, 1), U(2, n2 - n2 // 2, 2))
         m = free_product(m1, m2, validate=False)
-        assert len(m.certificates()) >= 4
-        del sums[:]
+        k = len(m.certificates())
+        assert k >= 4
+        dims, summed = set(), set()
         for dim in range(m.n + 1):
             for _ in range(4):
                 s = Subspace(2, m.n, [rng.randrange(1, 1 << m.n) for _ in range(dim)])
+                del sums[:]
                 assert m.rank(s) == free_product_rank(m1, m2, s)
-        assert (len(sums) > 0) == (2**m.n > MASK_AMBIENT_LIMIT)
+                dims.add(s.dim)
+                if sums:
+                    summed.add(s.dim)
+        if 2**m.n > MASK_AMBIENT_LIMIT:
+            assert summed == dims
+        else:
+            assert summed == {d for d in dims if 2**d > SUMS_VECTORS_PER_FLAT * k}
+            assert 0 < min(summed) < m.n
+
+
+def test_certificate_rank_routes_by_query_size(monkeypatch):
+    # the acceptance-11 product: 9 flats on F_2^13
+    M = QMatroid.from_cyclic_flats(2, 5, [
+        (span(2, 5, (1, 0, 1, 0, 1)), 0),
+        (span(2, 5, (1, 0, 0, 0, 1), (0, 1, 0, 1, 1), (0, 0, 1, 0, 0)), 1),
+        (span(2, 5, (1, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 1, 1, 1)), 1),
+        (span(2, 5, (1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)), 1),
+        (Subspace.full(2, 5), 2),
+    ])
+    N = QMatroid.from_cyclic_flats(2, 8, [
+        (Subspace.zero(2, 8), 0),
+        (Subspace(2, 8, [1, 2]), 1),
+        (Subspace(2, 8, [1, 2, 4, 8]), 2),
+        (Subspace(2, 8, [16, 32, 64, 128]), 3),
+        (Subspace.full(2, 8), 4),
+    ])
+    m = free_product(M, N)
+    assert (m.n, len(m.certificates())) == (13, 9)
+    sums = []
+    monkeypatch.setattr(qmatroid, "sum_subspaces", lambda a, b: sums.append(a) or sum_subspaces(a, b))
+    rng = random.Random(11)
+    for dim, route in ((3, "masks"), (9, "sums"), (12, "sums"), (13, "sums")):
+        for _ in range(10):
+            s = Subspace.zero(2, 13)
+            while s.dim < dim:
+                s = s.extend(rng.randrange(1, 1 << 13))
+            del sums[:]
+            assert m.rank(s) == rank_by_min_formula(m, s)
+            assert ("sums" if sums else "masks") == route
+            # once a query has its mask, it stays on masks
+            s.element_mask()
+            del sums[:]
+            assert m.rank(s) == rank_by_min_formula(m, s) and not sums
 
 
 def test_certificate_rank_calls_no_sum_and_keeps_no_memo(monkeypatch):

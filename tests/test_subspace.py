@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from qmatroids import subspace
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.subspace import (
     DirectSumContext,
@@ -216,6 +217,68 @@ def test_hyperplane_walk_strata_and_ids():
                 assert set(below.values()) <= {q + 1}
             prev, prev_ids = stratum, hypers
         assert d == n
+
+
+def _walk(q, n):
+    return [(stratum, [tuple(ids) for ids in hypers]) for stratum, hypers in hyperplane_walk(q, n)]
+
+
+def _small_ambients():
+    """Every (q, n) whose lattice the memo keeps."""
+    for q in (2, 3, 5, 7, 11, 13):
+        n = 0
+        while q**n <= subspace.STREAM_AMBIENT_LIMIT:
+            if lattice_size(q, n) <= subspace.SMALL_LATTICE_LIMIT:
+                yield q, n
+            n += 1
+
+
+def test_lattice_memo_matches_a_streaming_build(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(subspace, "_LATTICES", memo)
+    for q, n in _small_ambients():
+        if q > 7:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(subspace, "_LATTICES", {})
+            m.setattr(subspace, "SMALL_LATTICE_LIMIT", 0)
+            streamed = _walk(q, n)
+            assert subspace._LATTICES == {}
+        first = _walk(q, n)       # fills the memo's ids
+        strata, ids = memo[(q, n)]
+        assert [list(st) for st in strata] == [st for st, _ in streamed]
+        assert [tuple(flat) for flat in ids] == [sum(hy, ()) for _, hy in streamed]
+        assert first == streamed
+        replay = _walk(q, n)      # reads them back
+        assert replay == streamed
+        assert all(a is b for (s1, _), (s2, _) in zip(first, replay) for a, b in zip(s1, s2))
+        assert list(enumerate_subspaces(q, n)) == [s for st, _ in streamed for s in st]
+
+
+def test_lattice_memo_is_bounded_and_shared(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(subspace, "_LATTICES", memo)
+    once, twice = list(enumerate_subspaces(2, 4)), list(enumerate_subspaces(2, 4))
+    assert len(once) == 67 and all(a is b for a, b in zip(once, twice))
+    assert all(a is b for a, b in zip(subspaces_of(Subspace.full(2, 4), [2]),
+                                      enumerate_subspaces(2, 4, [2])))
+    assert memo[(2, 4)][1] is None          # no walk has run yet
+    walk = hyperplane_walk(2, 4)
+    next(walk)
+    walk.close()
+    assert memo[(2, 4)][1] is None          # a walk left early keeps no ids
+    before = dict(memo)
+    assert sum(1 for _ in enumerate_subspaces(2, 7)) == lattice_size(2, 7) == 29212
+    assert subspace._small_lattice(2, 7) is None
+    assert memo == before and all(memo[k] is before[k] for k in before)
+    # 13^3 has a small lattice but too many vectors to stream
+    assert subspace._small_lattice(13, 3) is None
+    with pytest.raises(BudgetError):
+        list(enumerate_subspaces(13, 3))
+    for q, n in _small_ambients():
+        assert subspace._small_lattice(q, n) is not None
+    assert len(memo) == 28
+    assert sum(len(s) for strata, _ in memo.values() for s in strata) == 7563
 
 
 def test_subspaces_of_matches_filter():
