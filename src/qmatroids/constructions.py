@@ -18,7 +18,10 @@ flats, ranks adding), with a definitional minimization kept as a
 brute-force oracle.
 
 Weak-order comparisons here are pointwise rank comparisons under the
-identity map; no basis change is searched.
+identity map; no basis change is searched.  They are read off the cyclic
+flats of both sides: r1 exceeds r2 somewhere exactly when it does at a
+cyclic flat of m2.  If r1(Z) <= f2(Z) at every Z, take the Z of m2's min
+formula for A: r1(A) <= r1(A + Z) <= r1(Z) + dim(A + Z) - dim Z <= r2(A).
 """
 
 from __future__ import annotations
@@ -174,8 +177,10 @@ class WeakOrderVerdict:
     """Pointwise rank comparison of two q-matroids on one ground space.
 
     relation is one of "equal", "M2<=M1" (every rank of m1 dominates),
-    "M1<=M2", or "incomparable".  Witnesses carry the first subspace
-    strict in each direction, keyed "r1>r2" and "r1<r2".
+    "M1<=M2", or "incomparable".  Witnesses carry a strict cyclic flat in
+    each direction, keyed "r1>r2" (a flat of m2) and "r1<r2" (a flat of
+    m1): the first in certificate order, which need not be the first
+    strict subspace in enumeration order.
     """
 
     relation: str
@@ -189,25 +194,12 @@ def weak_compare_identity(m1: QMatroid, m2: QMatroid) -> WeakOrderVerdict:
     if (m1.q, m1.n) != (m2.q, m2.n):
         raise InputError("weak comparison needs a common ground space")
     witnesses: dict = {}
-    for x in enumerate_subspaces(m1.q, m1.n):
-        r1, r2 = m1.rank(x), m2.rank(x)
-        if r1 > r2 and "r1>r2" not in witnesses:
-            witnesses["r1>r2"] = {"space": x.to_dict(), "r1": r1, "r2": r2}
-        elif r1 < r2 and "r1<r2" not in witnesses:
-            witnesses["r1<r2"] = {"space": x.to_dict(), "r1": r1, "r2": r2}
-        if len(witnesses) == 2:
-            return WeakOrderVerdict("incomparable", witnesses)
-    if not witnesses:
-        return WeakOrderVerdict("equal", witnesses)
-    if "r1>r2" in witnesses:
-        return WeakOrderVerdict("M2<=M1", witnesses)
-    return WeakOrderVerdict("M1<=M2", witnesses)
-
-
-def weak_below_by_flats(lower: QMatroid, upper: QMatroid) -> bool:
-    """Sufficient certificate for lower being weakly below upper: every
-    cyclic flat of upper is one of lower, with the same rank there."""
-    if (lower.q, lower.n) != (upper.q, upper.n):
-        raise InputError("weak comparison needs a common ground space")
-    have = dict(lower.certificates())
-    return all(have.get(z) == f for z, f in upper.certificates())
+    for key, sign, flats in (("r1>r2", 1, m2.certificates()), ("r1<r2", -1, m1.certificates())):
+        for z, _ in flats:
+            r1, r2 = m1.rank(z), m2.rank(z)
+            if sign * (r1 - r2) > 0:
+                witnesses[key] = {"space": z.to_dict(), "r1": r1, "r2": r2}
+                break
+    relation = {(): "equal", ("r1>r2",): "M2<=M1", ("r1<r2",): "M1<=M2",
+                ("r1>r2", "r1<r2"): "incomparable"}[tuple(witnesses)]
+    return WeakOrderVerdict(relation, witnesses)

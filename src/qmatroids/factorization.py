@@ -22,14 +22,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .constructions import free_product_chain
-from .qmatroid import QMatroid, _rank_walk, rank_tables_equal, transport
+from .constructions import free_product_chain, weak_compare_identity
+from .qmatroid import QMatroid, _rank_walk, transport
 from .subspace import (
-    SMALL_LATTICE_LIMIT,
     Subspace,
     enumerate_subspaces,
     intersect_subspaces,
-    lattice_size,
     sum_subspaces,
     unpack_vector,
 )
@@ -129,8 +127,8 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
     """Split m along its primary flag (see pinchpoints).
 
     The reconstruction (free product of the factors equals m after the
-    adapted change of basis) is checked on the ambients that free_product
-    sweeps too: at most SMALL_LATTICE_LIMIT subspaces.
+    adapted change of basis) is checked at every size on cyclic flats by
+    weak_compare_identity, so a returned report is always verified.
     """
     if m.n == 0:
         raise InputError("cannot factorize a q-matroid on a zero space")
@@ -143,20 +141,17 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
         factors.append(factor)
         kinds.append("uniform" if factor.is_uniform() else "irreducible")
         adapted.extend(qm.kept)
-    verified = False
-    if lattice_size(m.q, m.n) <= SMALL_LATTICE_LIMIT and len(factors) >= 1:
-        rebuilt = free_product_chain(factors)
-        if not rank_tables_equal(rebuilt, transport(m, adapted)):
-            raise InvariantError(
-                "primary factors failed to reproduce the q-matroid"
-            )
-        verified = True
+    rebuilt = free_product_chain(factors)
+    # m's own flats, transported; a table backing has scanned them already
+    moved = transport(m.as_cyclic_flat_backed(), adapted)
+    if weak_compare_identity(rebuilt, moved).relation != "equal":
+        raise InvariantError("primary factors failed to reproduce the q-matroid")
     return FactorizationReport(
         flag=flag,
         factors=factors,
         factor_kinds=kinds,
         adapted_basis=adapted,
-        verified=verified,
+        verified=True,
     )
 
 

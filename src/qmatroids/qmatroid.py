@@ -225,7 +225,14 @@ class QMatroid:
         return c
 
     def is_flat(self, a: Subspace) -> bool:
-        return self.closure(a) == a
+        return self._is_flat_in(a, self.E)
+
+    def _is_flat_in(self, a: Subspace, sup: Subspace) -> bool:
+        """Whether a is a flat of the restriction to sup: every cover of a
+        inside sup, one per atom of sup/a, has a larger rank."""
+        qm = QuotientMap(a, sup)
+        ra = self.rank(a)
+        return all(self.rank(qm.preimage(t)) > ra for t in atoms(Subspace.full(self.q, qm.dim)))
 
     def is_cyclic(self, a: Subspace) -> bool:
         ra = self.rank(a)
@@ -327,18 +334,24 @@ class QMatroid:
 
         Ranks are r(X) - r(sub) for sub <= X <= sup, carried onto
         F_q^{dim sup - dim sub} by the deterministic quotient coordinates.
+        Its cyclic flats come from the cyclic flats Z of self: those of the
+        restriction to sup are the cyclic W = Z meet sup, and those of its
+        contraction by sub the V = W + sub that are flats of the restriction,
+        at rank r(V) - r(sub).  W = Z and V = W need no test.  (A cyclic
+        space closes to a cyclic flat; duals swap cyclic flats and perps.)
         """
         qm = QuotientMap(sub, sup)
         if sub.dim == 0 and sup.dim == self.n:
             return self, qm
-        d = qm.dim
-        require_materialize_budget(self.q, d)
         base = self.rank(sub)
-        table = {
-            t: self.rank(qm.preimage(t)) - base
-            for t in enumerate_subspaces(self.q, d)
-        }
-        return QMatroid(self.q, d, table=table), qm
+        flats = {}
+        for z, _ in self.certificates():
+            w = intersect_subspaces(z, sup)
+            v = sum_subspaces(w, sub)
+            if v not in flats and (w == z or self.is_cyclic(w)) and (v == w or self._is_flat_in(v, sup)):
+                flats[v] = self.rank(v) - base
+        pairs = [(qm.map_subspace(v), f) for v, f in flats.items()]
+        return QMatroid.from_cyclic_flats(self.q, qm.dim, pairs, validate=False), qm
 
     def minor(self, sub: Subspace, sup: Subspace) -> "QMatroid":
         return self.minor_with_map(sub, sup)[0]

@@ -328,10 +328,11 @@ def verify_free_product_rep(G: Matrix, q: int, n1: int, k1: int) -> bool:
 def _search_candidates(order: int, k1: int, n2: int, leads=None):
     """Coupling blocks as flat entry tuples, lexicographic in encoding.
 
-    With a single row the first entry is pinned to zero: scaling the
-    new column block by a unit of the extension field changes nothing,
-    so one entry can always be normalized away.  `leads` restricts the
-    first free entry, which is how the space splits across workers.
+    With a single row the first entry is pinned to zero: X -> X + l*G2
+    keeps the row space of (G1 X; 0 G2), and some l zeroes the entry once
+    G2's first column is nonzero, as it is for every hit (the contraction
+    U(k2, n2) has no loops).  `leads` restricts the first free entry,
+    which is how the space splits across workers.
     """
     free = k1 * n2 - 1 if k1 == 1 else k1 * n2
     prefix = (0,) if k1 == 1 else ()
@@ -374,9 +375,9 @@ def _scan_chunk(args):
 def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     """Number of coupling blocks search_x enumerates for this pair.
 
-    One entry is normalized away when G1 has a single row, so the
-    count is order**(k1*n2 - 1) in that case and order**(k1*n2)
-    otherwise.
+    One entry is pinned to zero along the row space of (0 G2) when G1
+    has a single row (see _search_candidates), so the count is
+    order**(k1*n2 - 1) in that case and order**(k1*n2) otherwise.
     """
     if G1.field != G2.field:
         raise InputError("both factors must be represented over one field")

@@ -56,7 +56,7 @@ STREAM_AMBIENT_LIMIT = 1 << 10
 MATERIALIZE_LIMIT = 1 << 16
 MASK_AMBIENT_LIMIT = 1 << 13
 # Lattices with at most this many subspaces are kept once built, and are
-# small enough for products and factorizations to be swept in full.
+# small enough for free products to be checked by a full sweep.
 SMALL_LATTICE_LIMIT = 4096
 
 

@@ -10,6 +10,11 @@ or the intersection of those above.
 `rank_by_min_formula` is the certificate rank by one sum per cyclic
 flat: r(A) = min f(Z) + dim(A + Z) - dim Z.
 
+`weak_compare_by_sweep` decides the weak order by ranking every
+subspace of the lattice, with the first strict subspace in enumeration
+order as each witness.  `minor_by_rank_table` builds an interval minor
+as the rank table r(X) - r(sub) on every subspace of the quotient.
+
 `search_x_by_rank_table` is the coupling search by whole rank tables:
 a candidate passes when its rank on every nonzero subspace equals the
 free-product target's.  `linear_set_profile_by_stream` profiles a linear
@@ -26,7 +31,7 @@ confirms an independence witness from the axiom's statement alone.
 import functools
 import itertools
 
-from qmatroids.constructions import free_product
+from qmatroids.constructions import WeakOrderVerdict, free_product
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.factorization import free_separators
 from qmatroids.gf import Matrix
@@ -40,6 +45,7 @@ from qmatroids.qmatroid import (
 from qmatroids.representation import LinearSetProfile, _combine
 from qmatroids.subspace import (
     MASK_AMBIENT_LIMIT,
+    QuotientMap,
     Subspace,
     atom_vectors,
     codim1_subspaces,
@@ -99,6 +105,33 @@ def separator_pinchpoints(m):
 def rank_by_min_formula(m, a):
     """r(a) of a certificate-backed m, one sum_subspaces per cyclic flat."""
     return min(f + sum_subspaces(a, z).dim - z.dim for z, f in m.certificates())
+
+
+def weak_compare_by_sweep(m1, m2):
+    """The weak-order verdict of m1 and m2 by every subspace of F_q^n."""
+    witnesses: dict = {}
+    for x in enumerate_subspaces(m1.q, m1.n):
+        r1, r2 = m1.rank(x), m2.rank(x)
+        if r1 > r2 and "r1>r2" not in witnesses:
+            witnesses["r1>r2"] = {"space": x.to_dict(), "r1": r1, "r2": r2}
+        elif r1 < r2 and "r1<r2" not in witnesses:
+            witnesses["r1<r2"] = {"space": x.to_dict(), "r1": r1, "r2": r2}
+        if len(witnesses) == 2:
+            return WeakOrderVerdict("incomparable", witnesses)
+    if not witnesses:
+        return WeakOrderVerdict("equal", witnesses)
+    if "r1>r2" in witnesses:
+        return WeakOrderVerdict("M2<=M1", witnesses)
+    return WeakOrderVerdict("M1<=M2", witnesses)
+
+
+def minor_by_rank_table(m, sub, sup):
+    """The minor on [sub, sup] as a table on the quotient coordinates."""
+    qm = QuotientMap(sub, sup)
+    require_materialize_budget(m.q, qm.dim)
+    base = m.rank(sub)
+    table = {t: m.rank(qm.preimage(t)) - base for t in enumerate_subspaces(m.q, qm.dim)}
+    return QMatroid(m.q, qm.dim, table=table)
 
 
 def _rank_matches(field, cols, rows, want: int, k: int) -> bool:

@@ -10,9 +10,10 @@ import json
 
 import pytest
 
+from cases import acceptance_11_factors
 from qmatroids import cli
 from qmatroids.cli import VERBS, main
-from qmatroids.constructions import free_product
+from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import InvariantError
 from qmatroids.factorization import free_separators
 from qmatroids.qmatroid import QMatroid
@@ -136,6 +137,22 @@ def test_factorize_verb(capsys, docs):
     assert rep["factor_kinds"] == ["uniform", "uniform"]
     assert rep["verified"] is True
     assert [len(t["basis"]) for t in rep["flag"]] == [0, 2, 4]
+
+
+def test_certificate_verbs_on_the_acceptance_11_product(capsys, tmp_path):
+    # F_2^13 is past every lattice sweep: weak-compare, factorize and
+    # contract read the cyclic flats alone
+    m, n = acceptance_11_factors()
+    prod = write(tmp_path, "prod.json", free_product(m, n).to_dict())
+    summed = write(tmp_path, "sum.json", direct_sum(m, n).to_dict())
+    seam = write(tmp_path, "seam.json", {"basis": [[int(i == j) for j in range(13)] for i in range(5)]})
+    code, rep = run_json(capsys, ["weak-compare", prod, summed])
+    assert code == 0 and rep["relation"] == "M2<=M1" and set(rep["witnesses"]) == {"r1>r2"}
+    code, rep = run_json(capsys, ["factorize", prod])
+    assert code == 0 and rep["verified"] is True
+    assert [len(t["basis"]) for t in rep["flag"]][-2:] == [5, 13]
+    code, rep = run_json(capsys, ["contract", prod, seam])
+    assert code == 0 and weak_compare_identity(QMatroid.from_dict(rep), n).relation == "equal"
 
 
 def test_irreducible_verb(capsys, docs):

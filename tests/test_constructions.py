@@ -7,8 +7,12 @@ itself.
 """
 
 import itertools
+import random
 
 import pytest
+
+from cases import acceptance_11_factors, composite, random_gl, table_backed
+from oracles import minor_by_rank_table, weak_compare_by_sweep
 
 from qmatroids.constructions import (
     direct_sum,
@@ -19,7 +23,6 @@ from qmatroids.constructions import (
     free_product_independents,
     free_product_rank,
     is_free_product_independent,
-    weak_below_by_flats,
     weak_compare_identity,
 )
 from qmatroids.errors import InputError
@@ -31,8 +34,15 @@ from qmatroids.qmatroid import (
     phi_dual,
     rank_from_independents,
     rank_tables_equal,
+    transport,
 )
-from qmatroids.subspace import DirectSumContext, Subspace, enumerate_subspaces
+from qmatroids.subspace import (
+    SMALL_LATTICE_LIMIT,
+    DirectSumContext,
+    Subspace,
+    enumerate_subspaces,
+    lattice_size,
+)
 
 U = QMatroid.uniform
 
@@ -52,6 +62,19 @@ def diagonal_flat_matroid():
 
 
 PAIR_POOL = [U(2, 1, 0), U(2, 1, 1), U(2, 2, 1), U(2, 3, 2)]
+
+
+def factor_pairs():
+    """The small uniform pairs, seeded composite pairs up to F_2^7, F_3^4
+    and F_5^2, and the acceptance-11 factors on F_2^5 and F_2^8."""
+    rng = random.Random(16)
+    pairs = list(itertools.product(PAIR_POOL[:3], repeat=2))
+    for q, n1, n2 in ((2, 2, 3), (2, 3, 3), (2, 2, 4), (2, 3, 4), (2, 4, 3),
+                      (3, 2, 2), (3, 1, 3), (5, 1, 1)):
+        for _ in range(2):
+            pairs.append((composite(rng, q, n1), composite(rng, q, n2)))
+    pairs.append(acceptance_11_factors())
+    return pairs
 
 
 def test_free_product_routes_agree_on_small_pairs():
@@ -81,11 +104,18 @@ def test_free_product_independence_predicate():
 
 
 def test_free_product_recovers_factors_as_minors():
-    for m1, m2 in itertools.product(PAIR_POOL[:3], repeat=2):
+    # (M1 * M2)|E1 = M1 and (M1 * M2)/E1 = M2, in the coordinates of the
+    # blocks; the table oracle joins in wherever the lattice is small
+    for m1, m2 in factor_pairs():
         prod = free_product(m1, m2)
-        seam = DirectSumContext(2, m1.n, m2.n).embed1(Subspace.full(2, m1.n))
-        assert rank_tables_equal(prod.restriction(seam), m1)
-        assert rank_tables_equal(prod.contraction(seam), m2)
+        zero, seam = Subspace.zero(m1.q, prod.n), DirectSumContext(m1.q, m1.n, m2.n).embed1(m1.E)
+        res, con = prod.restriction(seam), prod.contraction(seam)
+        assert weak_compare_identity(res, m1).relation == "equal"
+        assert weak_compare_identity(con, m2).relation == "equal"
+        if lattice_size(m1.q, prod.n) <= SMALL_LATTICE_LIMIT:
+            assert rank_tables_equal(res, m1) and rank_tables_equal(con, m2)
+            assert res.certificates() == minor_by_rank_table(prod, zero, seam).certificates()
+            assert con.certificates() == minor_by_rank_table(prod, seam, prod.E).certificates()
 
 
 def test_free_product_seam_presence():
@@ -194,11 +224,13 @@ def test_direct_sum_commutes_up_to_block_swap():
 
 
 def test_free_product_dominates_direct_sum():
-    for m1, m2 in itertools.product(PAIR_POOL[:3], repeat=2):
+    for m1, m2 in factor_pairs():
         prod = free_product(m1, m2)
         summed = direct_sum(m1, m2)
         verdict = weak_compare_identity(prod, summed)
         assert verdict.relation in ("equal", "M2<=M1")
+        if lattice_size(m1.q, prod.n) <= SMALL_LATTICE_LIMIT:
+            assert weak_compare_by_sweep(prod, summed).relation == verdict.relation
 
 
 def test_diagonal_flat_example_sits_strictly_below_direct_sum():
@@ -208,8 +240,6 @@ def test_diagonal_flat_example_sits_strictly_below_direct_sum():
     assert verdict.relation == "M2<=M1"
     diag = span(2, 4, (1, 0, 1, 0), (0, 1, 0, 1))
     assert MN.rank(diag) == 2 and L.rank(diag) == 1
-    assert weak_below_by_flats(L, MN)
-    assert not weak_below_by_flats(MN, L)
 
 
 def test_free_product_is_pointwise_maximal_among_both():
@@ -235,6 +265,48 @@ def test_weak_compare_incomparable_pair():
     assert verdict.relation == "incomparable"
     assert set(verdict.witnesses) == {"r1>r2", "r1<r2"}
     assert not verdict
+
+
+def weak_pairs(seed):
+    """Ordered pairs on F_2^3 .. F_2^6, F_3^3 and F_5^2: composites, the
+    free product and direct sum of one pair in common scrambled
+    coordinates (both ways round), a composite against a change of its
+    basis and against a uniform, and table-backed copies from "ranks"
+    documents."""
+    rng = random.Random(seed)
+    for q, n, rounds in ((2, 3, 12), (2, 4, 12), (2, 5, 10), (2, 6, 4), (3, 3, 10), (5, 2, 12)):
+        for i in range(rounds):
+            a, b = composite(rng, q, n), composite(rng, q, n)
+            n1 = rng.randint(1, n - 1)
+            f1, f2 = composite(rng, q, n1, 1), composite(rng, q, n - n1, 1)
+            g = random_gl(rng, q, n)
+            prod = transport(free_product(f1, f2, validate=False), g)
+            summed = transport(direct_sum(f1, f2), g)
+            if i % 2:
+                a, prod = table_backed(a), table_backed(prod)
+            yield from ((a, b), (prod, summed), (summed, prod),
+                        (a, transport(a, random_gl(rng, q, n))), (U(q, n, rng.randint(0, n)), a))
+            if i % 4 == 1:
+                yield b, table_backed(b)
+
+
+def test_weak_compare_matches_the_sweep_oracle():
+    seen = set()
+    for m1, m2 in weak_pairs(8):
+        verdict = weak_compare_identity(m1, m2)
+        want = weak_compare_by_sweep(m1, m2)
+        assert verdict.relation == want.relation
+        assert set(verdict.witnesses) == set(want.witnesses)
+        for key, w in verdict.witnesses.items():
+            # a strict cyclic flat of m2 for r1 > r2, of m1 for r1 < r2
+            s = Subspace.from_dict(w["space"])
+            r1, r2 = m1.rank(s), m2.rank(s)
+            assert (w["r1"], w["r2"]) == (r1, r2)
+            assert r1 > r2 if key == "r1>r2" else r1 < r2
+            flats = (m2 if key == "r1>r2" else m1).certificates()
+            assert s in {z for z, _ in flats}
+        seen.add(verdict.relation)
+    assert seen == {"equal", "M2<=M1", "M1<=M2", "incomparable"}
 
 
 def test_weak_compare_equal_and_error_cases():

@@ -1,10 +1,13 @@
 """Free separators, the primary flag, and primary splits."""
 
+import functools
 import os
 import random
 
 import pytest
 
+from cases import acceptance_11_factors
+from qmatroids import factorization
 from qmatroids.constructions import direct_sum, free_product, free_product_chain
 from qmatroids.factorization import (
     free_separators,
@@ -18,7 +21,7 @@ from qmatroids.factorization import (
     vamos_qmatroid,
     vamos_rank,
 )
-from qmatroids.errors import InputError
+from qmatroids.errors import InputError, InvariantError
 from qmatroids.gf import Matrix, ext_field_new, matrix_rank
 from qmatroids.qmatroid import QMatroid, rank_tables_equal, transport
 from qmatroids.representation import qmatroid_from_matrix
@@ -175,6 +178,19 @@ def test_primary_factorization_of_irreducible_is_itself():
     assert len(rep.factors) == 1
     assert rep.factor_kinds == ["irreducible"]
     assert rank_tables_equal(rep.factors[0], transport(L, rep.adapted_basis))
+
+
+def test_primary_factorization_checks_its_rebuild_at_every_size(monkeypatch):
+    m, n = acceptance_11_factors()
+    prod = free_product(m, n)
+    rep = primary_factorization(prod)
+    assert [t.dim for t in rep.flag] == [0, 1, 5, 13] and rep.verified
+    assert rep.factors[-1].certificates() == n.certificates()
+    # direct sums of the same factors lie strictly below on F_2^13
+    monkeypatch.setattr(factorization, "free_product_chain",
+                        lambda fs: functools.reduce(direct_sum, fs))
+    with pytest.raises(InvariantError):
+        primary_factorization(prod)
 
 
 def test_primary_factorization_guards():

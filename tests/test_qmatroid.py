@@ -10,10 +10,12 @@ import random
 
 import pytest
 
+from cases import composite, random_interval, table_backed
 from oracles import (
     check_independence_axioms_by_definition,
     check_rank_axioms_by_definition,
     is_independence_violation,
+    minor_by_rank_table,
     rank_by_min_formula,
 )
 from qmatroids import qmatroid
@@ -499,6 +501,25 @@ def test_minor_rank_formula():
     for x in enumerate_subspaces(2, piece.n):
         lifted = qmap.preimage(x)
         assert piece.rank(x) == m.rank(lifted) - m.rank(sub)
+
+
+def test_certificate_minors_match_the_table_oracle():
+    # the same cyclic flats, in the same order and quotient coordinates,
+    # as the scan of the minor's rank table
+    rng = random.Random(10)
+    count = 0
+    for q, n, ms, intervals in ((2, 3, 20, 10), (2, 4, 20, 15), (2, 5, 12, 20), (3, 3, 15, 10),
+                                (3, 4, 6, 10), (5, 2, 15, 6), (5, 3, 10, 10)):
+        for i in range(ms):
+            m = composite(rng, q, n)
+            if i % 3 == 0:
+                m = table_backed(m)
+            for _ in range(intervals):
+                sub, sup = random_interval(rng, q, n)
+                want = minor_by_rank_table(m, sub, sup).certificates()
+                assert m.minor(sub, sup).certificates() == want
+                count += 1
+    assert count >= 1000
 
 
 def test_contraction_dual_is_restriction_of_dual():

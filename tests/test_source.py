@@ -96,3 +96,23 @@ def test_one_elimination_per_vector_format():
     defined = {node.name for node in ast.walk(gf)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "span_rank" in defined and not defined & {"rref", "kernel"}
+
+
+def _defined(path, name):
+    """The function or Class.method called name in a module of src."""
+    owner, _, attr = name.rpartition(".")
+    body = ast.parse((SRC / path).read_text()).body
+    if owner:
+        body = next(node.body for node in body if isinstance(node, ast.ClassDef) and node.name == owner)
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == attr)
+
+
+def test_flats_route_sweeps_no_lattice():
+    # weak comparison, minors and the factorization's rebuild check read
+    # cyclic flats at every size; the lattice sweeps are the test oracles
+    for path, name in (("constructions.py", "weak_compare_identity"),
+                       ("qmatroid.py", "QMatroid.minor_with_map"),
+                       ("factorization.py", "primary_factorization")):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(_defined(path, name)) if isinstance(node, ast.Call)}
+        assert not called & {"enumerate_subspaces", "rank_tables_equal", "require_materialize_budget"}
