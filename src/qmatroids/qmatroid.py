@@ -23,6 +23,12 @@ check and the cyclic-flat scan of a rank table are one lattice walk,
 and the independence check runs that walk on the rank function the
 family generates.
 
+CyclicFlatLattice works out the inclusion order of a set of flats once.
+Its ends, joins, meets and covers, the cyclic-flat axiom check, and the
+loops and coloops of a q-matroid (the ends of its cyclic flats) are all
+read off that order, with no rank query; the rank-oracle routes (the
+closure of a sum, the cyclic core of an intersection) are test oracles.
+
 A QMatroid value is immutable except for the element masks of its
 cyclic flats, built on the first rank query, and the cyclic flats a
 table backing found by scan.  Both writes are idempotent (a slot always
@@ -215,15 +221,7 @@ class QMatroid:
         require_materialize_budget(self.q, self.n)
         return {s for s in enumerate_subspaces(self.q, self.n) if self.is_independent(s)}
 
-    # -- closure and the cyclic core --------------------------------------
-    def closure(self, a: Subspace) -> Subspace:
-        ra = self.rank(a)
-        c = a
-        for x in atom_vectors(self.E):
-            if not c.contains_vector(x) and self.rank(a.extend(x)) == ra:
-                c = c.extend(x)
-        return c
-
+    # -- flatness and cyclicity ------------------------------------------
     def is_flat(self, a: Subspace) -> bool:
         return self._is_flat_in(a, self.E)
 
@@ -238,41 +236,36 @@ class QMatroid:
         ra = self.rank(a)
         return all(self.rank(b) == ra for b in codim1_subspaces(a))
 
-    def cyclic_core(self, a: Subspace) -> Subspace:
-        """The largest cyclic subspace of a, by rank-dropping descent."""
-        while True:
-            ra = self.rank(a)
-            drop = None
-            for b in codim1_subspaces(a):
-                if self.rank(b) < ra:
-                    drop = b
-                    break
-            if drop is None:
-                return a
-            a = drop
-
     # -- loops and coloops -------------------------------------------------
     def loops(self) -> list[Subspace]:
-        return [x for x in atoms(self.E) if self.rank(x) == 0]
+        """The atoms of rank 0: those of cl(0), the bottom cyclic flat."""
+        return list(atoms(self.certificates()[0][0]))
 
     def has_loops(self) -> bool:
-        return any(self.rank(x) == 0 for x in atoms(self.E))
+        """Whether cl(0), the bottom cyclic flat, is not 0."""
+        return self.certificates()[0][0].dim > 0
 
     def coloops(self) -> list[Subspace]:
-        """Codimension-1 subspaces of the ground space of rank below r(E)."""
-        re = self.rank(self.E)
-        return [h for h in codim1_subspaces(self.E) if self.rank(h) < re]
+        """The hyperplanes of rank below r(E): those that contain the top
+        cyclic flat, the perps of the loops of the dual."""
+        top = self.certificates()[-1][0]
+        return [orthogonal_complement(x) for x in atoms(orthogonal_complement(top))]
 
     def has_coloops(self) -> bool:
-        re = self.rank(self.E)
-        return any(self.rank(h) < re for h in codim1_subspaces(self.E))
+        """Whether E, always a flat, is not cyclic: the top cyclic flat is
+        not E."""
+        return self.certificates()[-1][0].dim < self.n
 
     # -- cyclic flats -------------------------------------------------------
     def cyclic_flats(self) -> "CyclicFlatLattice":
-        return CyclicFlatLattice(self, self.certificates())
+        return CyclicFlatLattice(self.q, self.n, self.certificates())
 
     def certificates(self):
-        """Cyclic flats with ranks; a table backing scans for them once."""
+        """Cyclic flats with ranks; a table backing scans for them once.
+
+        Every constructor keeps _certs, and the scan its flats, sorted by
+        Subspace.sort_key, dimension first: the bottom flat comes first and
+        the top flat last, where the loop and coloop tests read them."""
         if self._certs is not None:
             return self._certs
         if self._scanned is None:
@@ -420,20 +413,41 @@ def parse_document(doc: dict):
 # ---------------------------------------------------------------------------
 # Cyclic flats as a lattice.
 
-class CyclicFlatLattice:
-    """The cyclic flats of a q-matroid with their ranks.
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Join and meet are realized through the owning matroid's operators,
-    as closure(sum) and cyclic_core(intersection); the inclusion order
-    and Hasse diagram need no rank oracle at all.
+
+class CyclicFlatLattice:
+    """A set of subspaces of F_q^n with ranks, under inclusion: the cyclic
+    flats of a q-matroid, or a set checked for the cyclic-flat axioms.
+
+    The order is worked out once, as per-index bitmasks of the flats
+    below and above each one, and every query reads those masks; no rank
+    oracle is involved.  The pairs are sorted by Subspace.sort_key,
+    dimension first, so a least element of a set of flats can only be
+    its lowest index and a greatest one its highest.
     """
 
-    def __init__(self, matroid: QMatroid, pairs):
-        self.q = matroid.q
-        self.n = matroid.n
-        self._matroid = matroid
+    def __init__(self, q: int, n: int, pairs):
+        self.q = q
+        self.n = n
         self.pairs = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
-        self._rank = {z: f for z, f in self.pairs}
+        spaces = self.spaces()
+        self._index = {z: i for i, z in enumerate(spaces)}
+        if len(self._index) != len(spaces):
+            raise InputError("duplicate spaces in cyclic-flat collection")
+        self._all = (1 << len(spaces)) - 1
+        self._below = [1 << i for i in range(len(spaces))]
+        self._above = list(self._below)
+        for i, a in enumerate(spaces):
+            for j in range(i + 1, len(spaces)):
+                if spaces[j].dim > a.dim and spaces[j].contains(a):
+                    self._above[i] |= 1 << j
+                    self._below[j] |= 1 << i
 
     def __len__(self):
         return len(self.pairs)
@@ -441,50 +455,51 @@ class CyclicFlatLattice:
     def spaces(self) -> list[Subspace]:
         return [z for z, _ in self.pairs]
 
-    def rank_of(self, z: Subspace) -> int:
+    def _at(self, z: Subspace) -> int:
         try:
-            return self._rank[z]
+            return self._index[z]
         except KeyError:
             raise InputError("not a cyclic flat of this q-matroid") from None
 
+    def rank_of(self, z: Subspace) -> int:
+        return self.pairs[self._at(z)][1]
+
+    def _least(self, mask: int):
+        """The index in mask below every other one there, or None."""
+        i = (mask & -mask).bit_length() - 1
+        return i if mask and self._above[i] & mask == mask else None
+
+    def _greatest(self, mask: int):
+        """The index in mask above every other one there, or None."""
+        i = mask.bit_length() - 1
+        return i if mask and self._below[i] & mask == mask else None
+
+    def _space(self, i, missing: str) -> Subspace:
+        if i is None:
+            raise InputError(f"cyclic-flat collection has no {missing}")
+        return self.pairs[i][0]
+
     def bottom(self) -> Subspace:
-        for z, _ in self.pairs:
-            if all(other.contains(z) for other, _ in self.pairs):
-                return z
-        raise InputError("cyclic-flat collection has no minimum element")
+        return self._space(self._least(self._all), "minimum element")
 
     def top(self) -> Subspace:
-        for z, _ in reversed(self.pairs):
-            if all(z.contains(other) for other, _ in self.pairs):
-                return z
-        raise InputError("cyclic-flat collection has no maximum element")
+        return self._space(self._greatest(self._all), "maximum element")
 
     def join(self, a: Subspace, b: Subspace) -> Subspace:
-        j = self._matroid.closure(sum_subspaces(a, b))
-        if j not in self._rank:
-            raise InputError("join fell outside the cyclic-flat collection")
-        return j
+        return self._space(self._least(self._above[self._at(a)] & self._above[self._at(b)]), "join")
 
     def meet(self, a: Subspace, b: Subspace) -> Subspace:
-        m = self._matroid.cyclic_core(intersect_subspaces(a, b))
-        if m not in self._rank:
-            raise InputError("meet fell outside the cyclic-flat collection")
-        return m
+        return self._space(self._greatest(self._below[self._at(a)] & self._below[self._at(b)]), "meet")
 
     def hasse_edges(self) -> list[tuple[Subspace, Subspace]]:
-        """Cover pairs (lower, upper) of the inclusion order on the flats."""
+        """Cover pairs (lower, upper) of the inclusion order on the flats:
+        j covers i when the flats between them are only i and j."""
         spaces = self.spaces()
         edges = []
-        for a in spaces:
-            for b in spaces:
-                if a == b or not b.contains(a):
-                    continue
-                if any(
-                    c != a and c != b and b.contains(c) and c.contains(a)
-                    for c in spaces
-                ):
-                    continue
-                edges.append((a, b))
+        for i in range(len(spaces)):
+            for j in _bits(self._above[i] & ~(1 << i)):
+                if self._above[i] & self._below[j] == (1 << i) | (1 << j):
+                    edges.append((spaces[i], spaces[j]))
         return edges
 
     def shape_signature(self):
@@ -747,27 +762,20 @@ def rank_from_independents(q: int, n: int, indep) -> dict[Subspace, int]:
 
 def check_cyclic_flat_axioms(q: int, n: int, pairs) -> AxiomVerdict:
     """(Z0) lattice under inclusion, (Z1) bottom has value zero,
-    (Z2) strict sandwich on nested pairs, (Z3) strengthened submodularity."""
-    pairs = sorted(((z, int(f)) for z, f in pairs), key=lambda p: p[0].sort_key())
+    (Z2) strict sandwich on nested pairs, (Z3) strengthened submodularity.
+
+    The inclusion order, bounds included, is the CyclicFlatLattice's."""
+    pairs = [(z, int(f)) for z, f in pairs]
     failures: list = []
     if not pairs:
         _fail(failures, "(Z1)", {"detail": "empty collection has no minimum"})
         return AxiomVerdict(False, failures)
-    spaces = [z for z, _ in pairs]
-    fval = [f for _, f in pairs]
+    lat = CyclicFlatLattice(q, n, pairs)
+    spaces = lat.spaces()
+    fval = [f for _, f in lat.pairs]
     k = len(spaces)
-    seen = set(spaces)
-    if len(seen) != k:
-        raise InputError("duplicate spaces in cyclic-flat collection")
 
-    above = [0] * k  # above[i]: bitmask of j with spaces[i] <= spaces[j]
-    for i in range(k):
-        for j in range(k):
-            if spaces[j].contains(spaces[i]):
-                above[i] |= 1 << j
-
-    allmask = (1 << k) - 1
-    bottom = next((i for i in range(k) if above[i] == allmask), None)
+    bottom = lat._least(lat._all)
     if bottom is None:
         _fail(failures, "(Z0)", {"detail": "no minimum element"})
     elif fval[bottom] != 0:
@@ -779,9 +787,7 @@ def check_cyclic_flat_axioms(q: int, n: int, pairs) -> AxiomVerdict:
 
     # (Z2)
     for i in range(k):
-        for j in range(k):
-            if i == j or not (above[j] >> i) & 1:
-                continue
+        for j in _bits(lat._below[i] & ~(1 << i)):
             # spaces[j] < spaces[i]
             gap_f = fval[i] - fval[j]
             gap_d = spaces[i].dim - spaces[j].dim
@@ -793,41 +799,11 @@ def check_cyclic_flat_axioms(q: int, n: int, pairs) -> AxiomVerdict:
                      "rank_gap": gap_f, "dim_gap": gap_d},
                 )
 
-    # (Z0) pairwise bounds, reused for (Z3).
-    def least_of(mask_of_candidates: int):
-        while mask_of_candidates:
-            i = (mask_of_candidates & -mask_of_candidates).bit_length() - 1
-            if above[i] & mask_of_candidates == mask_of_candidates:
-                return i
-            mask_of_candidates &= mask_of_candidates - 1
-        return None
-
-    def greatest_of(mask_of_candidates: int):
-        m = mask_of_candidates
-        while m:
-            i = (m & -m).bit_length() - 1
-            ok = True
-            mm = mask_of_candidates
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                if not (above[j] >> i) & 1:
-                    ok = False
-                    break
-                mm &= mm - 1
-            if ok:
-                return i
-            m &= m - 1
-        return None
-
+    # (Z0) pairwise bounds, then (Z3) on them
     for i in range(k):
         for j in range(i + 1, k):
-            ups = above[i] & above[j]
-            downs = 0
-            for t in range(k):
-                if (above[t] >> i) & 1 and (above[t] >> j) & 1:
-                    downs |= 1 << t
-            vee = least_of(ups) if ups else None
-            wedge = greatest_of(downs) if downs else None
+            vee = lat._least(lat._above[i] & lat._above[j])
+            wedge = lat._greatest(lat._below[i] & lat._below[j])
             if vee is None or wedge is None:
                 _fail(
                     failures,

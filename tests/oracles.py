@@ -10,6 +10,15 @@ or the intersection of those above.
 `rank_by_min_formula` is the certificate rank by one sum per cyclic
 flat: r(A) = min f(Z) + dim(A + Z) - dim Z.
 
+`closure` and `cyclic_core` are the rank-oracle routes to the join and
+meet of two cyclic flats: the closure of their sum, by every atom of
+the ambient, and the cyclic core of their intersection, by rank-dropping
+descent through hyperplanes.  `loops_by_sweep` and `coloops_by_sweep`
+rank every atom and every hyperplane of the ambient.
+`hasse_edges_by_triples` tests every triple of flats for a cover.
+`check_cyclic_flat_axioms_by_search` is the cyclic-flat check with its
+own inclusion masks and its own search for each pair's bounds.
+
 `weak_compare_by_sweep` decides the weak order by ranking every
 subspace of the lattice, with the first strict subspace in enumeration
 order as each witness.  `minor_by_rank_table` builds an interval minor
@@ -48,6 +57,7 @@ from qmatroids.subspace import (
     QuotientMap,
     Subspace,
     atom_vectors,
+    atoms,
     codim1_subspaces,
     enumerate_subspaces,
     intersect_subspaces,
@@ -105,6 +115,159 @@ def separator_pinchpoints(m):
 def rank_by_min_formula(m, a):
     """r(a) of a certificate-backed m, one sum_subspaces per cyclic flat."""
     return min(f + sum_subspaces(a, z).dim - z.dim for z, f in m.certificates())
+
+
+def closure(m, a):
+    """The largest subspace over a of rank r(a), atom by atom."""
+    ra = m.rank(a)
+    c = a
+    for x in atom_vectors(m.E):
+        if not c.contains_vector(x) and m.rank(a.extend(x)) == ra:
+            c = c.extend(x)
+    return c
+
+
+def cyclic_core(m, a):
+    """The largest cyclic subspace of a, by rank-dropping descent."""
+    while True:
+        ra = m.rank(a)
+        drop = None
+        for b in codim1_subspaces(a):
+            if m.rank(b) < ra:
+                drop = b
+                break
+        if drop is None:
+            return a
+        a = drop
+
+
+def loops_by_sweep(m):
+    return [x for x in atoms(m.E) if m.rank(x) == 0]
+
+
+def coloops_by_sweep(m):
+    re = m.rank(m.E)
+    return [h for h in codim1_subspaces(m.E) if m.rank(h) < re]
+
+
+def hasse_edges_by_triples(lat):
+    """Pairs a < b of flats with no third flat between them."""
+    spaces = lat.spaces()
+    edges = []
+    for a in spaces:
+        for b in spaces:
+            if a == b or not b.contains(a):
+                continue
+            if any(
+                c != a and c != b and b.contains(c) and c.contains(a)
+                for c in spaces
+            ):
+                continue
+            edges.append((a, b))
+    return edges
+
+
+def check_cyclic_flat_axioms_by_search(q: int, n: int, pairs) -> AxiomVerdict:
+    """(Z0)-(Z3) with inclusion masks built here and each pair's join and
+    meet searched among its common bounds."""
+    pairs = sorted(((z, int(f)) for z, f in pairs), key=lambda p: p[0].sort_key())
+    failures: list = []
+    if not pairs:
+        _fail(failures, "(Z1)", {"detail": "empty collection has no minimum"})
+        return AxiomVerdict(False, failures)
+    spaces = [z for z, _ in pairs]
+    fval = [f for _, f in pairs]
+    k = len(spaces)
+    seen = set(spaces)
+    if len(seen) != k:
+        raise InputError("duplicate spaces in cyclic-flat collection")
+
+    above = [0] * k  # above[i]: bitmask of j with spaces[i] <= spaces[j]
+    for i in range(k):
+        for j in range(k):
+            if spaces[j].contains(spaces[i]):
+                above[i] |= 1 << j
+
+    allmask = (1 << k) - 1
+    bottom = next((i for i in range(k) if above[i] == allmask), None)
+    if bottom is None:
+        _fail(failures, "(Z0)", {"detail": "no minimum element"})
+    elif fval[bottom] != 0:
+        _fail(
+            failures,
+            "(Z1)",
+            {"space": spaces[bottom].to_dict(), "rank": fval[bottom]},
+        )
+
+    # (Z2)
+    for i in range(k):
+        for j in range(k):
+            if i == j or not (above[j] >> i) & 1:
+                continue
+            # spaces[j] < spaces[i]
+            gap_f = fval[i] - fval[j]
+            gap_d = spaces[i].dim - spaces[j].dim
+            if not 0 < gap_f < gap_d:
+                _fail(
+                    failures,
+                    "(Z2)",
+                    {"g": spaces[j].to_dict(), "f": spaces[i].to_dict(),
+                     "rank_gap": gap_f, "dim_gap": gap_d},
+                )
+
+    # (Z0) pairwise bounds, reused for (Z3).
+    def least_of(mask_of_candidates: int):
+        while mask_of_candidates:
+            i = (mask_of_candidates & -mask_of_candidates).bit_length() - 1
+            if above[i] & mask_of_candidates == mask_of_candidates:
+                return i
+            mask_of_candidates &= mask_of_candidates - 1
+        return None
+
+    def greatest_of(mask_of_candidates: int):
+        m = mask_of_candidates
+        while m:
+            i = (m & -m).bit_length() - 1
+            ok = True
+            mm = mask_of_candidates
+            while mm:
+                j = (mm & -mm).bit_length() - 1
+                if not (above[j] >> i) & 1:
+                    ok = False
+                    break
+                mm &= mm - 1
+            if ok:
+                return i
+            m &= m - 1
+        return None
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            ups = above[i] & above[j]
+            downs = 0
+            for t in range(k):
+                if (above[t] >> i) & 1 and (above[t] >> j) & 1:
+                    downs |= 1 << t
+            vee = least_of(ups) if ups else None
+            wedge = greatest_of(downs) if downs else None
+            if vee is None or wedge is None:
+                _fail(
+                    failures,
+                    "(Z0)",
+                    {"a": spaces[i].to_dict(), "b": spaces[j].to_dict(),
+                     "detail": "missing join" if vee is None else "missing meet"},
+                )
+                continue
+            inter_dim = intersect_subspaces(spaces[i], spaces[j]).dim
+            correction = inter_dim - spaces[wedge].dim
+            if fval[i] + fval[j] < fval[vee] + fval[wedge] + correction:
+                _fail(
+                    failures,
+                    "(Z3)",
+                    {"f": spaces[i].to_dict(), "g": spaces[j].to_dict(),
+                     "join": spaces[vee].to_dict(), "meet": spaces[wedge].to_dict()},
+                )
+    return AxiomVerdict(not failures, failures)
 
 
 def weak_compare_by_sweep(m1, m2):

@@ -155,6 +155,19 @@ def test_certificate_verbs_on_the_acceptance_11_product(capsys, tmp_path):
     assert code == 0 and weak_compare_identity(QMatroid.from_dict(rep), n).relation == "equal"
 
 
+def test_free_product_of_a_factor_past_the_stream_budget(capsys, tmp_path):
+    # loops and coloops are read off the ends of the cyclic-flat lattice,
+    # so a factor on F_2^11 needs no atom or hyperplane stream of 2^11
+    U = QMatroid.uniform
+    small = write(tmp_path, "u221.json", U(2, 2, 1).to_dict())
+    big = write(tmp_path, "u2113.json", U(2, 11, 3).to_dict())
+    for left, right in ((small, big), (big, small)):
+        code, rep = run_json(capsys, ["free-product", left, right])
+        assert code == 0 and rep["rank"] == 4 and len(rep["cyclic_flats"]) == 3
+    m = direct_sum(U(2, 6, 2), U(2, 6, 3))
+    assert not m.has_loops() and not m.has_coloops()
+
+
 def test_irreducible_verb(capsys, docs):
     code, rep = run_json(capsys, ["irreducible", docs["prod"]])
     assert code == 1 and rep["irreducible"] is False

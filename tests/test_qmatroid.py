@@ -5,16 +5,23 @@ one exists (definitional dual vs certificate-transform dual, pairwise vs
 walk axiom checkers, certificate-backed vs table-backed ranks).
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from cases import composite, random_interval, table_backed
+from cases import composite, random_gl, random_interval, random_subspace, table_backed
 from oracles import (
+    check_cyclic_flat_axioms_by_search,
     check_independence_axioms_by_definition,
     check_rank_axioms_by_definition,
+    closure,
+    coloops_by_sweep,
+    cyclic_core,
+    hasse_edges_by_triples,
     is_independence_violation,
+    loops_by_sweep,
     minor_by_rank_table,
     rank_by_min_formula,
 )
@@ -249,14 +256,14 @@ def test_closure_is_a_closure_operator():
     for m in (U(2, 4, 2), diagonal_flat_matroid(), one_loop()):
         subs = list(enumerate_subspaces(m.q, m.n))
         for a in subs:
-            c = m.closure(a)
+            c = closure(m, a)
             assert c.contains(a)
             assert m.rank(c) == m.rank(a)
-            assert m.closure(c) == c
+            assert closure(m, c) == c
             assert m.is_flat(c)
         for a, b in itertools.product(subs[:20], repeat=2):
             if b.contains(a):
-                assert m.closure(b).contains(m.closure(a))
+                assert closure(m, b).contains(closure(m, a))
 
 
 def test_is_cyclic_matches_hyperplane_definition():
@@ -271,7 +278,7 @@ def test_is_cyclic_matches_hyperplane_definition():
 def test_cyclic_core_is_the_largest_cyclic_subspace():
     for m in (diagonal_flat_matroid(), one_loop()):
         for a in enumerate_subspaces(m.q, m.n):
-            core = m.cyclic_core(a)
+            core = cyclic_core(m, a)
             assert a.contains(core)
             assert core.dim == 0 or m.is_cyclic(core)
             for b in subspaces_of(a):
@@ -632,3 +639,100 @@ def test_loops_and_coloops_known_cases():
     # the loop line is a hyperplane of rank 0 < 1, so E is not cyclic
     # and the matroid has a coloop as well
     assert lop.has_coloops()
+
+
+def _composite_with(rng, q, n, flats):
+    """A composite with at least this many cyclic flats."""
+    while True:
+        m = composite(rng, q, n)
+        if len(m.certificates()) >= flats:
+            return m
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_cases():
+    """320 seeded q-matroids, 32 on each of F_2^2 .. F_2^6, F_3^2 .. F_3^4,
+    F_5^2 and F_5^3, every fourth one table-backed.  On F_q^4 and up,
+    where composites mostly have one or two cyclic flats, one in four has
+    three or more and one in four is the direct sum of two with two or
+    more each, so that some joins and meets lie strictly inside."""
+    rng = random.Random(18)
+    out = []
+    for q, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
+        for i in range(32):
+            if n >= 4 and i % 4 == 1:
+                n1 = rng.randint(2, n - 2)
+                m = direct_sum(_composite_with(rng, q, n1, 2), _composite_with(rng, q, n - n1, 2))
+                m = transport(m, random_gl(rng, q, n))
+            else:
+                m = _composite_with(rng, q, n, 3 if n >= 4 and i % 4 == 2 else 1)
+            out.append(table_backed(m) if i % 4 == 0 else m)
+    return out
+
+
+def test_lattice_operations_match_the_rank_oracle():
+    # ends, joins and meets read off the inclusion order equal the closure
+    # of the sum and the cyclic core of the intersection; covers equal the
+    # test of every triple
+    for m in lattice_cases():
+        lat = m.cyclic_flats()
+        assert lat.bottom() == closure(m, Subspace.zero(m.q, m.n))
+        assert lat.top() == cyclic_core(m, m.E)
+        for a, b in itertools.combinations_with_replacement(lat.spaces(), 2):
+            assert lat.join(a, b) == closure(m, sum_subspaces(a, b))
+            assert lat.meet(a, b) == cyclic_core(m, intersect_subspaces(a, b))
+        assert lat.hasse_edges() == hasse_edges_by_triples(lat)
+        flats = set(lat.spaces())
+        outside = next((x for x in enumerate_subspaces(m.q, m.n) if x not in flats), None)
+        if outside is not None:
+            for query in (lambda: lat.join(outside, lat.top()), lambda: lat.meet(lat.bottom(), outside),
+                          lambda: lat.rank_of(outside)):
+                with pytest.raises(InputError):
+                    query()
+
+
+def test_loops_and_coloops_match_the_sweeps():
+    for m in lattice_cases():
+        loops, coloops = loops_by_sweep(m), coloops_by_sweep(m)
+        assert sorted(m.loops(), key=Subspace.sort_key) == sorted(loops, key=Subspace.sort_key)
+        assert sorted(m.coloops(), key=Subspace.sort_key) == sorted(coloops, key=Subspace.sort_key)
+        assert m.has_loops() == bool(loops)
+        assert m.has_coloops() == bool(coloops)
+
+
+def _perturbed(rng, m):
+    """The cyclic flats of m with one rank moved by 1, one flat dropped,
+    or one random subspace added at a random rank."""
+    pairs = list(m.certificates())
+    i = rng.randrange(len(pairs))
+    kind = rng.randrange(3)
+    if kind == 0:
+        z, f = pairs[i]
+        pairs[i] = (z, f + rng.choice((-1, 1)))
+    elif kind == 1:
+        del pairs[i]
+    else:
+        z = random_subspace(rng, m.q, m.n, rng.randint(0, m.n))
+        pairs.append((z, rng.randint(0, z.dim)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_cyclic_flat_check_matches_the_search_oracle():
+    # the same verdict, failures in the same order and the same witnesses
+    # as the check with its own masks and bound search
+    rng = random.Random(19)
+    seen = set()
+    for m in lattice_cases():
+        for pairs in [list(m.certificates())] + [_perturbed(rng, m) for _ in range(3)]:
+            try:
+                want = check_cyclic_flat_axioms_by_search(m.q, m.n, pairs)
+            except InputError:  # a random subspace that was already a flat
+                with pytest.raises(InputError):
+                    check_cyclic_flat_axioms(m.q, m.n, pairs)
+                continue
+            got = check_cyclic_flat_axioms(m.q, m.n, pairs)
+            assert (got.ok, got.failures) == (want.ok, want.failures)
+            seen |= got.failed_axioms()
+        assert check_cyclic_flat_axioms(m.q, m.n, m.certificates()).ok
+    assert seen == {"(Z0)", "(Z1)", "(Z2)", "(Z3)"}

@@ -16,7 +16,7 @@ import pytest
 
 from oracles import linear_set_profile_by_stream, search_x_by_rank_table
 
-from qmatroids.constructions import direct_sum
+from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.gf import Matrix, ext_field_new
 from qmatroids.qmatroid import QMatroid, rank_tables_equal
@@ -155,6 +155,31 @@ def test_search_negative_pair_is_empty():
     G1 = Matrix(F16, [(1, A)])
     G2bad = Matrix(F16, [(1, ap(2))])
     assert search_x(G1, G2bad) == []
+
+
+@pytest.mark.parametrize("g2, equal", [(ap(4), 128), (ap(2), 0)], ids=["frozen", "negative"])
+def test_free_product_is_weak_order_maximal(g2, equal):
+    # every (G1 X; 0 G2) restricts to U(1,2) on the seam and contracts to
+    # U(1,2) by it, so the free product U(1,2) □ U(1,2) lies weakly above
+    # it; it is the product exactly when X - x1 G2, the block with its
+    # first entry pinned to zero by a row operation, is a search hit
+    G1, G2 = Matrix(F16, [(1, A)]), Matrix(F16, [(1, g2)])
+    line = QMatroid.uniform(2, 2, 1)
+    product = free_product(line, line)
+    seam = Subspace.from_coeff_rows(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    hits = {tuple(h.rows[0]) for h in search_x(G1, G2)}
+    count = 0
+    for x1 in range(16):
+        for x2 in range(16):
+            m = qmatroid_from_matrix(block_rep(G1, G2, Matrix(F16, [(x1, x2)])))
+            for minor in (m.restriction(seam), m.contraction(seam)):
+                assert weak_compare_identity(minor, line).relation == "equal"
+            relation = weak_compare_identity(product, m).relation
+            assert relation in ("equal", "M2<=M1")
+            pinned = (0, F16.sub(x2, F16.mul(x1, g2)))
+            assert (relation == "equal") == (pinned in hits)
+            count += relation == "equal"
+    assert count == equal
 
 
 def test_club_condition_tracks_verification_on_every_candidate():

@@ -116,3 +116,24 @@ def test_flats_route_sweeps_no_lattice():
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(_defined(path, name)) if isinstance(node, ast.Call)}
         assert not called & {"enumerate_subspaces", "rank_tables_equal", "require_materialize_budget"}
+
+
+def test_lattice_queries_read_the_inclusion_order():
+    # loops, coloops, the lattice operations and the cyclic-flat check
+    # read the order of the flats; the rank-oracle routes to them are the
+    # test oracles
+    tree = ast.parse((SRC / "qmatroid.py").read_text())
+    lattice = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "CyclicFlatLattice")
+    scopes = [_defined("qmatroid.py", name) for name in
+              ("QMatroid.has_loops", "QMatroid.has_coloops", "check_cyclic_flat_axioms")]
+    scopes += [fn for fn in lattice.body if isinstance(fn, ast.FunctionDef)]
+    for fn in scopes:
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert not called & {"rank", "atoms", "atom_vectors", "codim1_subspaces",
+                             "closure", "cyclic_core"}, fn.name
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"closure", "cyclic_core"}
