@@ -92,11 +92,14 @@ def _load_matrix(path: str, modulus: str | None) -> Matrix:
     try:
         fdoc = doc["field"]
         q, m = json_int(fdoc["q"], "q", "matrix"), json_int(fdoc["m"], "m", "matrix")
-        rows = doc["rows"]
+        rows, coeffs = doc["rows"], fdoc.get("modulus")
+        if coeffs is not None and not modulus:
+            coeffs = [json_int(c, "modulus", "matrix") for c in coeffs]
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed matrix document {path}: {e}") from None
-    coeffs = _parse_modulus(modulus) if modulus else fdoc.get("modulus")
-    field = ext_field_new(q, m, coeffs)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f"malformed matrix document {path}: 'rows' must be a list of lists")
+    field = ext_field_new(q, m, _parse_modulus(modulus) if modulus else coeffs)
     return Matrix(field, [[field.parse_element(x) for x in row] for row in rows])
 
 

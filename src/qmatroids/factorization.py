@@ -142,8 +142,9 @@ def primary_factorization(m: QMatroid) -> FactorizationReport:
         kinds.append("uniform" if factor.is_uniform() else "irreducible")
         adapted.extend(qm.kept)
     rebuilt = free_product_chain(factors)
-    # m's own flats, transported; a table backing has scanned them already
-    moved = transport(m.as_cyclic_flat_backed(), adapted)
+    # m's own cyclic flats, transported; a table backing scanned them for
+    # the flag already
+    moved = transport(m, adapted)
     if weak_compare_identity(rebuilt, moved).relation != "equal":
         raise InvariantError("primary factors failed to reproduce the q-matroid")
     return FactorizationReport(

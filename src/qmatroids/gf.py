@@ -423,8 +423,8 @@ class ExtField:
         self._exp, self._log = exp, log
 
     def parse_element(self, s) -> int:
-        """Accept an int, a decimal string, or "0"/"1"/"a"/"a^k"."""
-        if isinstance(s, int):
+        """Accept an int (not a bool), a decimal string, or "0"/"1"/"a"/"a^k"."""
+        if type(s) is int:
             v = s
         else:
             t = str(s).strip()

@@ -1,7 +1,7 @@
 """Rank functions on the subspace lattice of F_q^n.
 
-A q-matroid is stored either as a full rank table (one integer per
-subspace of the ground space) or as a certificate: the cyclic flats
+A q-matroid is backed either by a full rank table (one integer per
+subspace of the ground space) or by a certificate: the cyclic flats
 together with their ranks, from which every other rank value follows by
 the minimization
 
@@ -11,10 +11,9 @@ the minimization
 The second form is read off element masks: A meet Z has
 popcount(mask(A) & mask(Z)) = q^dim(A meet Z) vectors.
 
-The certificate form is what keeps products of products tractable; the
-table form is what brute-force cross-checks produce.  Everything here
-treats the two backings as interchangeable oracles, and the test suite
-holds them to that.
+A rank table answers rank queries only; one scan, on first use, finds its
+cyclic flats and keeps them as its certificate.  Every construction and
+the uniformity test read the cyclic flats, whatever the backing.
 
 Axiom checkers for the three cryptomorphisms in use (rank axioms,
 independence axioms, cyclic-flat axioms) return verdicts carrying the
@@ -31,7 +30,7 @@ closure of a sum, the cyclic core of an intersection) are test oracles.
 
 A QMatroid value is immutable except for the element masks of its
 cyclic flats, built on the first rank query, and the cyclic flats a
-table backing found by scan.  Both writes are idempotent (a slot always
+table backing finds by scan.  Both writes are idempotent (a slot always
 gets the same value), so concurrent readers need no coordination.
 """
 
@@ -102,7 +101,7 @@ def _fail(failures: list, axiom: str, witness) -> None:
 class QMatroid:
     """A q-matroid on F_q^n, backed by a rank table or by cyclic flats."""
 
-    __slots__ = ("q", "n", "E", "_table", "_certs", "_flat_masks", "_scanned")
+    __slots__ = ("q", "n", "E", "_table", "_certs", "_flat_masks")
 
     def __init__(self, q: int, n: int, *, table=None, certs=None):
         if (table is None) == (certs is None):
@@ -113,7 +112,6 @@ class QMatroid:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_certs", certs)
         object.__setattr__(self, "_flat_masks", None)
-        object.__setattr__(self, "_scanned", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatroid is immutable")
@@ -158,9 +156,7 @@ class QMatroid:
             raise InputError(f"uniform rank {k} out of range for ambient {n}")
         zero = Subspace.zero(q, n)
         full = Subspace.full(q, n)
-        if n == 0:
-            certs = ((zero, 0),)
-        elif k == n:
+        if k == n:
             certs = ((zero, 0),)
         elif k == 0:
             certs = ((full, 0),)
@@ -211,7 +207,7 @@ class QMatroid:
         """Certificate route when available: dim(I meet Z) <= f(Z) for all Z."""
         # Intersections, not the element masks of rank(): tests and the
         # benchmark's rank check read this as a route independent of rank.
-        if self._certs is not None:
+        if self._table is None:
             return all(
                 intersect_subspaces(a, z).dim <= f for z, f in self._certs
             )
@@ -261,65 +257,31 @@ class QMatroid:
         return CyclicFlatLattice(self.q, self.n, self.certificates())
 
     def certificates(self):
-        """Cyclic flats with ranks; a table backing scans for them once.
-
-        Every constructor keeps _certs, and the scan its flats, sorted by
-        Subspace.sort_key, dimension first: the bottom flat comes first and
-        the top flat last, where the loop and coloop tests read them."""
-        if self._certs is not None:
-            return self._certs
-        if self._scanned is None:
-            object.__setattr__(self, "_scanned", cyclic_flats_by_scan(self))
-        return self._scanned
-
-    def as_cyclic_flat_backed(self) -> "QMatroid":
-        if self._certs is not None:
-            return self
-        return QMatroid(self.q, self.n, certs=self.certificates())
+        """Cyclic flats with ranks, sorted by Subspace.sort_key: the bottom
+        flat first and the top flat last, where the loop and coloop tests
+        read them.  A table backing scans for them on the first call and
+        keeps them in _certs; a table that is not a q-matroid raises
+        InputError here."""
+        if self._certs is None:
+            object.__setattr__(self, "_certs", cyclic_flats_by_scan(self))
+        return self._certs
 
     # -- uniformity ----------------------------------------------------------
     def uniform_parameters(self):
-        """k when this is U_{k,n}, else None."""
-        certs = self.certificates()
-        zero = Subspace.zero(self.q, self.n)
-        if self.n == 0:
-            return 0
-        if len(certs) == 1:
-            z, f = certs[0]
-            if z == zero and f == 0:
-                return self.n
-            if z == self.E and f == 0:
-                return 0
-            return None
-        if len(certs) == 2:
-            (z0, f0), (z1, f1) = certs
-            if z0 == zero and f0 == 0 and z1 == self.E and 0 < f1 < self.n:
-                return f1
-        return None
+        """k when this is U_{k,n}, else None: the cyclic flats determine
+        the q-matroid, so it is uniform when they are those of U_{r(E),n}."""
+        k = self.rank(self.E)
+        return k if self.certificates() == QMatroid.uniform(self.q, self.n, k).certificates() else None
 
     def is_uniform(self) -> bool:
         return self.uniform_parameters() is not None
 
     # -- duality ---------------------------------------------------------------
     def dual(self) -> "QMatroid":
-        """Dual under the standard dot product.
-
-        With a certificate backing this maps each cyclic flat to its
-        orthogonal complement; with a table backing it evaluates
-        r*(A) = dim(A) - r(E) + r(A-perp) on every subspace.
-        """
-        re = self.rank(self.E)
-        if self._certs is not None:
-            pairs = [
-                (orthogonal_complement(z), (self.n - z.dim) - re + f)
-                for z, f in self._certs
-            ]
-            return QMatroid.from_cyclic_flats(self.q, self.n, pairs, validate=False)
-        table = {
-            a: a.dim - re + self._table[orthogonal_complement(a)]
-            for a in self._table
-        }
-        return QMatroid(self.q, self.n, table=table)
+        """Dual under the standard dot product, r*(A) = dim(A) - r(E) +
+        r(A-perp): its cyclic flats are the Z-perp of the cyclic flats Z,
+        at rank dim Z-perp - r(E) + f(Z), whatever the backing."""
+        return _dual_along(self, orthogonal_complement)
 
     # -- minors -------------------------------------------------------------
     def minor_with_map(self, sub: Subspace, sup: Subspace):
@@ -546,13 +508,15 @@ def phi_dual(m: QMatroid) -> QMatroid:
     Same rank law with phi in place of perp; equals the perp-dual
     transported by coordinate reversal.
     """
+    return _dual_along(m, phi)
+
+
+def _dual_along(m: QMatroid, anti) -> QMatroid:
+    """The dual along an anti-isomorphism of the lattice (perp or phi):
+    the cyclic flats anti(Z), at rank dim anti(Z) - r(E) + f(Z)."""
     re = m.rank(m.E)
-    if m._certs is not None:
-        pairs = [(phi(z), (m.n - z.dim) - re + f) for z, f in m._certs]
-        return QMatroid.from_cyclic_flats(m.q, m.n, pairs, validate=False)
-    return QMatroid.from_rank_table(
-        m.q, m.n, lambda a: a.dim - re + m.rank(phi(a))
-    )
+    pairs = [(anti(z), (m.n - z.dim) - re + f) for z, f in m.certificates()]
+    return QMatroid.from_cyclic_flats(m.q, m.n, pairs, validate=False)
 
 
 def transport(m: QMatroid, images) -> QMatroid:
@@ -564,11 +528,8 @@ def transport(m: QMatroid, images) -> QMatroid:
     images = [v if isinstance(v, int) else pack_vector(m.q, m.n, v)
               for v in images]
     inv = invert_matrix(m.q, m.n, images)
-    if m._certs is not None:
-        pairs = [(map_by_matrix(z, inv), f) for z, f in m._certs]
-        return QMatroid.from_cyclic_flats(m.q, m.n, pairs, validate=False)
-    table = {map_by_matrix(a, inv): r for a, r in m._table.items()}
-    return QMatroid(m.q, m.n, table=table)
+    pairs = [(map_by_matrix(z, inv), f) for z, f in m.certificates()]
+    return QMatroid.from_cyclic_flats(m.q, m.n, pairs, validate=False)
 
 
 # ---------------------------------------------------------------------------

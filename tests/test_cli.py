@@ -340,12 +340,29 @@ def test_malformed_subspace_document_exits_2(capsys, docs, tmp_path):
     assert "'q' is not an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", [{"q": 2.9, "m": "4"}, {"q": 2, "m": "4"}],
-                         ids=["float-q-string-m", "string-m"])
-def test_malformed_matrix_document_exits_2(capsys, tmp_path, field):
-    g = write(tmp_path, "bad.json", {"field": field, "rows": [["1", "a"]]})
-    assert main(["from-matrix", g]) == 2
-    assert "is not an integer" in capsys.readouterr().err
+GF16 = {"q": 2, "m": 4}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"field": {"q": 2.9, "m": "4"}, "rows": [["1", "a"]]}, "is not an integer"),
+    ({"field": {"q": 2, "m": "4"}, "rows": [["1", "a"]]}, "is not an integer"),
+    ({"field": {**GF16, "modulus": 5}, "rows": [["1", "a"]]}, "'int' object is not iterable"),
+    ({"field": {**GF16, "modulus": [1.7, 1, 0, 0, 1]}, "rows": [["1", "a"]]}, "is not an integer"),
+    ({"field": {**GF16, "modulus": ["1", "1", "0", "0", "1"]}, "rows": [["1", "a"]]},
+     "is not an integer"),
+    ({"field": GF16, "rows": 5}, "'rows' must be a list of lists"),
+    ({"field": GF16, "rows": [[1, 2], 5]}, "'rows' must be a list of lists"),
+    ({"field": GF16, "rows": [[1, True]]}, "cannot parse True"),
+], ids=["float-q-string-m", "string-m", "int-modulus", "float-modulus-entry",
+        "string-modulus-entries", "int-rows", "int-row", "bool-element"])
+def test_malformed_matrix_document_exits_2(capsys, tmp_path, doc, message):
+    g = write(tmp_path, "bad.json", doc)
+    for argv in (["from-matrix", g], ["club-check", g],
+                 ["evasive-check", g, "--k1", "1", "--h", "1"], ["search-x", g, g],
+                 ["verify-free-product-rep", g, "--n1", "1", "--k1", "1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (argv, err)
 
 
 def test_budget_vamos_guard(capsys, docs):

@@ -51,8 +51,11 @@ from qmatroids.subspace import (
     hyperplane_walk,
     intersect_subspaces,
     invert_matrix,
+    lattice_size,
+    map_by_matrix,
     orthogonal_complement,
     pack_vector,
+    phi,
     subspaces_of,
     sum_subspaces,
 )
@@ -93,7 +96,7 @@ def small_corpus():
 
 
 def test_uniform_rank_is_clamped_dimension():
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 0), (2, 4), (3, 3)):
         for k in range(n + 1):
             m = U(q, n, k)
             for s in enumerate_subspaces(q, n):
@@ -105,6 +108,21 @@ def test_uniform_rank_is_clamped_dimension():
 def test_uniform_parameters_none_for_non_uniform():
     assert one_loop().uniform_parameters() is None
     assert diagonal_flat_matroid().uniform_parameters() is None
+
+
+def test_uniform_parameters_match_the_brute_force():
+    # uniform with k = r(E) exactly when r(A) = min(dim A, k) on every A;
+    # read off the cyclic flats of either backing
+    uniforms = [U(q, n, k) for q, top in ((2, 4), (3, 3), (5, 2)) for n in range(top + 1)
+                for k in range(n + 1)]
+    cases = uniforms + [table_backed(m) for m in uniforms] + list(lattice_cases())
+    found = set()
+    for m in cases:
+        k = m.rank(m.E)
+        uniform = all(m.rank(a) == min(a.dim, k) for a in enumerate_subspaces(m.q, m.n))
+        assert m.uniform_parameters() == (k if uniform else None), m
+        found.add((m._table is None, uniform))
+    assert found == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_rank_helpers_are_consistent():
@@ -298,7 +316,6 @@ def test_certificate_and_table_backings_agree():
         rebuilt = QMatroid.from_cyclic_flats(
             m.q, m.n, m.cyclic_flats().pairs, validate=False)
         assert rank_tables_equal(m, rebuilt)
-        assert rank_tables_equal(m, m.as_cyclic_flat_backed())
 
 
 def certificate_corpus():
@@ -308,7 +325,7 @@ def certificate_corpus():
     from U(0,1), U(1,1) and U(1,2) over F_2 on at most 5 coordinates, and
     the duals of all of these."""
     line = U(3, 2, 1)
-    out = [diagonal_flat_matroid(), one_loop().as_cyclic_flat_backed(),
+    out = [diagonal_flat_matroid(), QMatroid.from_cyclic_flats(2, 2, one_loop().certificates()),
            free_product(line, line, validate=False), direct_sum(line, line)]
     for q, top, total in ((2, 3, 4), (3, 2, 3), (5, 2, 3)):
         pool = [U(q, n, k) for n in range(1, top + 1) for k in range(n + 1)]
@@ -328,7 +345,7 @@ def test_certificate_rank_matches_the_min_formula():
     assert {m.q for m in corpus} == {2, 3, 5}
     assert max(len(m.certificates()) for m in corpus) >= 4
     for m in corpus:
-        assert m._certs is not None
+        assert m._table is None
         for s in enumerate_subspaces(m.q, m.n):
             assert m.rank(s) == rank_by_min_formula(m, s), (m, s)
 
@@ -446,19 +463,54 @@ def test_from_cyclic_flats_validates():
     assert "(Z2)" in v.failed_axioms()
 
 
+@functools.lru_cache(maxsize=None)
+def compared_images(q, n, image):
+    """(A, image(A)) for every subspace A of F_q^n when there are at most
+    400, else for 60 seeded random ones; built once per ambient, since the
+    images cost more than the rank queries that read them."""
+    if lattice_size(q, n) <= 400:
+        spaces = enumerate_subspaces(q, n)
+    else:
+        rng = random.Random(100 * q + n)
+        spaces = [random_subspace(rng, q, n, rng.randint(0, n)) for _ in range(60)]
+    return tuple((a, image(a)) for a in spaces)
+
+
 def test_dual_matches_definitional_route():
-    for m in small_corpus():
+    # either backing gives a certificate-backed dual, compared with the
+    # definition on whole small lattices and sampled large ones
+    for m in small_corpus() + lattice_cases():
         d = m.dual()
-        assert rank_tables_equal(d, dual_by_definition(m))
-        assert rank_tables_equal(d.dual(), m)
+        assert d._table is None
+        if lattice_size(m.q, m.n) <= 400:
+            assert rank_tables_equal(d, dual_by_definition(m))
+        else:
+            top = m.rank(m.E)
+            for a, perp in compared_images(m.q, m.n, orthogonal_complement):
+                assert d.rank(a) == a.dim - top + m.rank(perp)
+        assert d.dual().certificates() == m.certificates()
 
 
 def test_dual_rank_formula_pointwise():
-    for m in (U(2, 4, 1), one_loop(), diagonal_flat_matroid()):
-        d = m.dual()
-        top = m.rank(Subspace.full(m.q, m.n))
-        for a in enumerate_subspaces(m.q, m.n):
-            assert d.rank(a) == a.dim - top + m.rank(orthogonal_complement(a))
+    # r*(A) = dim A - r(E) + r(anti(A)), with perp for the dual and phi for
+    # the phi-dual
+    for m in [U(2, 4, 1), one_loop(), diagonal_flat_matroid()] + lattice_cases():
+        top = m.rank(m.E)
+        for d, anti in ((m.dual(), orthogonal_complement), (phi_dual(m), phi)):
+            assert d._table is None
+            for a, b in compared_images(m.q, m.n, anti):
+                assert d.rank(a) == a.dim - top + m.rank(b)
+
+
+def test_constructions_scan_an_unvalidated_table():
+    # E below its hyperplanes breaks (R2); the scan behind certificates()
+    # rejects it wherever a construction reads the cyclic flats
+    table = dict(full_rank_table(U(2, 3, 2)))
+    table[Subspace.full(2, 3)] = 1
+    ident = [[1 if j == i else 0 for j in range(3)] for i in range(3)]
+    for build in (QMatroid.dual, phi_dual, lambda m: transport(m, ident)):
+        with pytest.raises(InputError, match=r"\(R2\)"):
+            build(QMatroid.from_rank_table(2, 3, table))
 
 
 def test_dual_of_uniform():
@@ -561,6 +613,18 @@ def test_transport_by_identity_and_round_trip():
             moved = transport(m, rows)
             assert rank_tables_equal(transport(moved, inv_rows), m)
             assert is_isomorphic(moved, m)
+    # A -> r(g(A)) for a random invertible g on each ambient, from either
+    # backing
+    maps = {}
+    for m in lattice_cases():
+        if (m.q, m.n) not in maps:
+            rows = [pack_vector(m.q, m.n, row) for row in random_gl(rng, m.q, m.n)]
+            maps[m.q, m.n] = rows, functools.partial(map_by_matrix, images=rows)
+        rows, g = maps[m.q, m.n]
+        moved = transport(m, rows)
+        assert moved._table is None
+        for a, image in compared_images(m.q, m.n, g):
+            assert moved.rank(a) == m.rank(image)
 
 
 def test_is_isomorphic_reports_usable_images():
@@ -601,7 +665,7 @@ def test_dict_round_trips():
         doc = m.to_dict()
         again = QMatroid.from_dict(doc)
         assert rank_tables_equal(m, again)
-    table_doc = U(2, 2, 1).as_cyclic_flat_backed().to_dict()
+    table_doc = U(2, 2, 1).to_dict()
     assert "cyclic_flats" in table_doc
     raw = {"q": 2, "n": 1, "ranks": [
         {"basis": [], "r": 0}, {"basis": [[1]], "r": 1}]}

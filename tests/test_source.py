@@ -74,13 +74,11 @@ def _compares_q_with_2(node):
     return any(is_q) and any(is_2)
 
 
-def test_one_elimination_per_vector_format():
-    # only the vector-format layer of subspace.py tells q = 2 apart, so
-    # every lattice operation, extend included, runs on its kernels; and
-    # gf's one elimination over field elements is span_rank
-    tree = ast.parse((SRC / "subspace.py").read_text())
+def _scopes(path):
+    """(name, node) for each function, Class.method and other top-level
+    statement (named <module>) of a module of src."""
     scopes = []
-    for node in tree.body:
+    for node in ast.parse((SRC / path).read_text(), filename=path).body:
         if isinstance(node, ast.ClassDef):
             scopes += [(f"{node.name}.{fn.name}", fn) for fn in node.body
                        if isinstance(fn, ast.FunctionDef)]
@@ -88,7 +86,14 @@ def test_one_elimination_per_vector_format():
             scopes.append((node.name, node))
         else:
             scopes.append(("<module>", node))
-    branching = {name for name, scope in scopes
+    return scopes
+
+
+def test_one_elimination_per_vector_format():
+    # only the vector-format layer of subspace.py tells q = 2 apart, so
+    # every lattice operation, extend included, runs on its kernels; and
+    # gf's one elimination over field elements is span_rank
+    branching = {name for name, scope in _scopes("subspace.py")
                  if any(_compares_q_with_2(node) for node in ast.walk(scope))}
     assert branching == {"_rref", "_reduce", "_nonzero", "_axpy", "_concat", "_split",
                          "pack_vector", "unpack_vector", "vector_index", "Subspace.elements"}
@@ -137,3 +142,26 @@ def test_lattice_queries_read_the_inclusion_order():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"closure", "cyclic_core"}
+
+
+def _reads(node, attr):
+    return any(isinstance(x, ast.Attribute) and x.attr == attr and isinstance(x.ctx, ast.Load)
+               for x in ast.walk(node))
+
+
+def test_a_rank_table_answers_rank_queries_only():
+    # the table is the rank oracle and the source of its own scan; every
+    # construction reads certificates(), whatever the backing
+    readers = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+               for name, scope in _scopes(path.name) if _reads(scope, "_table")}
+    assert readers == {"qmatroid.py:QMatroid.__repr__", "qmatroid.py:QMatroid.rank",
+                       "qmatroid.py:QMatroid.is_independent", "qmatroid.py:cyclic_flats_by_scan"}
+    for path, name in (("qmatroid.py", "QMatroid.dual"), ("qmatroid.py", "phi_dual"),
+                       ("qmatroid.py", "_dual_along"), ("qmatroid.py", "transport"),
+                       ("qmatroid.py", "QMatroid.uniform_parameters"),
+                       ("factorization.py", "primary_factorization")):
+        fn = _defined(path, name)
+        assert not _reads(fn, "_table") and not _reads(fn, "_certs"), name
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "as_cyclic_flat_backed" not in text and "_scanned" not in text, path.name
