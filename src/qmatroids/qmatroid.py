@@ -8,8 +8,9 @@ the minimization
     r(A) = min{ f(Z) + dim(A + Z) - dim(Z) : Z certified }
          = dim(A) + min{ f(Z) - dim(A meet Z) : Z certified }.
 
-The second form is read off element masks: A meet Z has
-popcount(mask(A) & mask(Z)) = q^dim(A meet Z) vectors.
+The second form is read off element masks (QMatroid._terms).  Its least
+terms, Min(A), give the closure cl(A) = A + sum Min(A) and the largest
+cyclic subspace A meet (meet Min(A)) (QMatroid._minimizing_flats).
 
 A rank table answers rank queries only; one scan, on first use, finds its
 cyclic flats and keeps them as its certificate.  Every construction and
@@ -36,6 +37,7 @@ gets the same value), so concurrent readers need no coordination.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -166,28 +168,27 @@ class QMatroid:
 
     # -- the rank oracle --------------------------------------------------
     def rank(self, a: Subspace) -> int:
-        """r(a), from the table or from the cyclic flats.
+        """r(a), from the table, or dim(a) + min t_Z(a) over the cyclic flats."""
+        if self._table is not None and (a.q, a.n) == (self.q, self.n):
+            return self._table[a]
+        return a.dim + min(self._terms(a))  # _terms rejects another ambient
 
-        A certificate backing takes dim(a) + min(f(Z) - dim(a meet Z))
-        over its flats Z.  While q^n <= MASK_AMBIENT_LIMIT, a meet Z is
-        counted as popcount(mask(a) & mask(Z)) = q^dim(a meet Z): the
-        flats' masks and a {q^i: i} table are built on the first such
-        query and a's mask is cached on a, so each flat costs one AND,
-        one bit count and one lookup.  Above the bound, or when a has no
-        mask yet and q^dim(a) passes SUMS_VECTORS_PER_FLAT vectors per
-        flat, building the mask costs more than the eliminations, and
-        each flat takes one sum_subspaces in
-        r(a) = min(f(Z) + dim(a + Z) - dim Z).
+    def _terms(self, a: Subspace) -> list[int]:
+        """t_Z(a) = f(Z) - dim(a meet Z) per cyclic flat Z, in certificate
+        order.  Up to MASK_AMBIENT_LIMIT, dim(a meet Z) is read off
+        popcount(mask(a) & mask(Z)) = q^dim(a meet Z): the flats' masks and a
+        {q^i: i} table are built on the first such query and a's mask is
+        cached on a.  Above the bound, or when a has no mask yet and q^dim(a)
+        passes SUMS_VECTORS_PER_FLAT vectors per flat, a mask costs more than
+        the eliminations, and dim(a meet Z) = dim a + dim Z - dim(a + Z).
         """
         if (a.q, a.n) != (self.q, self.n):
             raise InputError(f"subspace of F_{a.q}^{a.n} given to a q-matroid on F_{self.q}^{self.n}")
-        if self._table is not None:
-            return self._table[a]
-        q, n, certs = self.q, self.n, self._certs
+        q, n, certs = self.q, self.n, self.certificates()
         if a._mask is None and (
             q**n > MASK_AMBIENT_LIMIT or q**a.dim > SUMS_VECTORS_PER_FLAT * len(certs)
         ):
-            return min(f + sum_subspaces(a, z).dim - z.dim for z, f in certs)
+            return [f + sum_subspaces(a, z).dim - z.dim - a.dim for z, f in certs]
         masks = self._flat_masks
         if masks is None:
             log = {q**i: i for i in range(n + 1)}
@@ -195,7 +196,17 @@ class QMatroid:
             object.__setattr__(self, "_flat_masks", masks)
         log, flats = masks
         ma = a.element_mask()
-        return a.dim + min(f - log[(ma & mz).bit_count()] for f, mz in flats)
+        return [f - log[(ma & mz).bit_count()] for f, mz in flats]
+
+    def _minimizing_flats(self, a: Subspace) -> list[Subspace]:
+        """Min(a), the cyclic flats Z of least t_Z(a).  If r(a+x) = r(a), a Z in
+        Min(a+x) has r(a) = f(Z)+dim(a+x+Z)-dim Z >= f(Z)+dim(a+Z)-dim Z >= r(a),
+        so x lies in a+Z and Z in Min(a): cl(a) = a + sum Min(a).  The dual's
+        terms at a-perp are t_Z(a) + dim a - r(E), so Min*(a-perp) = Min(a)-perp
+        and the cyclic part of a is a meet (meet Min(a))."""
+        terms = self._terms(a)
+        least = min(terms)
+        return [z for (z, _), t in zip(self.certificates(), terms) if t == least]
 
     def rank_lack(self, a: Subspace) -> int:
         return self.rank(self.E) - self.rank(a)
@@ -219,18 +230,14 @@ class QMatroid:
 
     # -- flatness and cyclicity ------------------------------------------
     def is_flat(self, a: Subspace) -> bool:
-        return self._is_flat_in(a, self.E)
+        return all(a.contains(z) for z in self._minimizing_flats(a))
 
     def _is_flat_in(self, a: Subspace, sup: Subspace) -> bool:
-        """Whether a is a flat of the restriction to sup: every cover of a
-        inside sup, one per atom of sup/a, has a larger rank."""
-        qm = QuotientMap(a, sup)
-        ra = self.rank(a)
-        return all(self.rank(qm.preimage(t)) > ra for t in atoms(Subspace.full(self.q, qm.dim)))
+        """Whether a is a flat of the restriction to sup: cl(a) meet sup = a."""
+        return intersect_subspaces(functools.reduce(sum_subspaces, self._minimizing_flats(a), a), sup) == a
 
     def is_cyclic(self, a: Subspace) -> bool:
-        ra = self.rank(a)
-        return all(self.rank(b) == ra for b in codim1_subspaces(a))
+        return all(z.contains(a) for z in self._minimizing_flats(a))
 
     # -- loops and coloops -------------------------------------------------
     def loops(self) -> list[Subspace]:
@@ -292,8 +299,9 @@ class QMatroid:
         Its cyclic flats come from the cyclic flats Z of self: those of the
         restriction to sup are the cyclic W = Z meet sup, and those of its
         contraction by sub the V = W + sub that are flats of the restriction,
-        at rank r(V) - r(sub).  W = Z and V = W need no test.  (A cyclic
-        space closes to a cyclic flat; duals swap cyclic flats and perps.)
+        at rank r(V) - r(sub).  W = Z and V = W need no test; the tests read
+        Min (see _minimizing_flats) and stream no atom or hyperplane.  (A
+        cyclic space closes to a cyclic flat; duals swap flats and perps.)
         """
         qm = QuotientMap(sub, sup)
         if sub.dim == 0 and sup.dim == self.n:

@@ -324,6 +324,12 @@ class Subspace:
             basis = doc["basis"]
         except KeyError as e:
             raise InputError(f"malformed subspace document: {e}") from None
+        if type(basis) is not list or any(type(row) is not list for row in basis):
+            raise InputError(f"subspace basis {basis!r} is not a list of rows")
+        for row in basis:  # pack_vector reads each coefficient mod q
+            for c in row:
+                if type(c) is not int or not 0 <= c < q:  # type(): True is an int
+                    raise InputError(f"subspace basis entry {c!r} is not an integer in 0..{q - 1}")
         given = [pack_vector(q, n, row) for row in basis]
         s = cls(q, n, given)
         if list(s.rows) != given:

@@ -7,17 +7,18 @@ the assertions need structure.  Exit codes follow the module contract:
 """
 
 import json
+import random
 
 import pytest
 
-from cases import acceptance_11_factors
+from cases import acceptance_11_factors, random_gl, random_subspace
 from qmatroids import cli
 from qmatroids.cli import VERBS, main
 from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import InvariantError
 from qmatroids.factorization import free_separators
-from qmatroids.qmatroid import QMatroid
-from qmatroids.subspace import Subspace
+from qmatroids.qmatroid import QMatroid, transport
+from qmatroids.subspace import QuotientMap, Subspace
 
 
 def write(tmp_path, name, doc):
@@ -166,6 +167,28 @@ def test_free_product_of_a_factor_past_the_stream_budget(capsys, tmp_path):
         assert code == 0 and rep["rank"] == 4 and len(rep["cyclic_flats"]) == 3
     m = direct_sum(U(2, 6, 2), U(2, 6, 3))
     assert not m.has_loops() and not m.has_coloops()
+
+
+def test_minors_past_the_stream_budget(capsys, tmp_path):
+    # flatness and cyclicity are read off the flats that minimize the rank
+    # formula, so no minor streams the atoms or hyperplanes of F_2^13
+    rng = random.Random(20)
+    m, n = acceptance_11_factors()
+    prod = free_product(transport(m, random_gl(rng, 2, 5)), transport(n, random_gl(rng, 2, 8)))
+    path = write(tmp_path, "prod.json", prod.to_dict())
+    zero, unit = Subspace.zero(2, 13), Subspace.from_coeff_rows(2, 13, [[int(j == 12) for j in range(13)]])
+    hyper = Subspace.from_coeff_rows(2, 13, [[int(i == j) for j in range(13)] for i in range(12)])
+    for verb, sub, sup, arg in (("restrict", zero, hyper, hyper), ("contract", unit, prod.E, unit)):
+        code, rep = run_json(capsys, [verb, path, write(tmp_path, f"{verb}.json", arg.to_dict())])
+        assert code == 0, verb
+        minor, qm = QMatroid.from_dict(rep), QuotientMap(sub, sup)
+        for _ in range(60):
+            t = random_subspace(rng, 2, qm.dim, rng.randint(0, qm.dim))
+            assert minor.rank(t) == prod.rank(qm.preimage(t)) - prod.rank(sub)
+    U = QMatroid.uniform
+    path = write(tmp_path, "u.json", free_product(U(2, 2, 1), U(2, 11, 3)).to_dict())
+    code, rep = run_json(capsys, ["factorize", path])
+    assert code == 0 and rep["verified"] is True
 
 
 def test_irreducible_verb(capsys, docs):
@@ -338,6 +361,25 @@ def test_malformed_subspace_document_exits_2(capsys, docs, tmp_path):
     space = write(tmp_path, "space.json", {"q": 2.0, "n": 2, "basis": [[1, 0]]})
     assert main(["rank", docs["u12"], space]) == 2
     assert "'q' is not an integer" in capsys.readouterr().err
+    space = write(tmp_path, "space.json", {"basis": 5})
+    assert main(["rank", docs["u12"], space]) == 2
+    assert "is not a list of rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, row", [(2, [1.5, 0]), (2, [True, 0]), (2, [3, 0]), (2, [-1, 0]),
+                                    (3, [1.5, 0]), (2, "10")],
+                         ids=["float", "bool", "too-large", "negative", "float-q3", "string-row"])
+def test_basis_coefficients_are_checked(capsys, tmp_path, q, row):
+    # pack_vector reads a coefficient mod q, so 1.5, True, 3 and -1 would
+    # pass for 1 on q = 2; the document boundary rejects them
+    bad = write(tmp_path, "bad.json", {"q": q, "n": 2, "cyclic_flats": [
+        {"basis": [], "rank": 0}, {"basis": [row, [0, 1]], "rank": 1}]})
+    good = write(tmp_path, "good.json", QMatroid.uniform(q, 2, 1).to_dict())
+    space = write(tmp_path, "space.json", {"basis": [row]})
+    for argv in (["cyclic-flats", bad], ["dual", bad], ["verify-axioms", bad],
+                 ["rank", bad, space], ["rank", good, space]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 GF16 = {"q": 2, "m": 4}

@@ -282,6 +282,18 @@ def test_closure_is_a_closure_operator():
         for a, b in itertools.product(subs[:20], repeat=2):
             if b.contains(a):
                 assert closure(m, b).contains(closure(m, a))
+    # is_flat reads the flats that minimize the rank formula; on random
+    # subspaces and their closures it agrees with the atom-by-atom closure
+    rng = random.Random(20)
+    for m in rng.sample(lattice_cases(), 160):
+        for _ in range(8):
+            a = random_subspace(rng, m.q, m.n, rng.randint(0, m.n))
+            c = closure(m, a)
+            assert m.is_flat(a) == (c == a) and m.is_flat(c)
+
+
+def _is_cyclic_by_hyperplanes(m, a):
+    return all(m.rank(h) == m.rank(a) for h in codim1_subspaces(a))
 
 
 def test_is_cyclic_matches_hyperplane_definition():
@@ -289,8 +301,14 @@ def test_is_cyclic_matches_hyperplane_definition():
         for a in enumerate_subspaces(m.q, m.n):
             if a.dim == 0:
                 continue
-            literal = all(m.rank(h) == m.rank(a) for h in codim1_subspaces(a))
-            assert m.is_cyclic(a) == literal
+            assert m.is_cyclic(a) == _is_cyclic_by_hyperplanes(m, a)
+    # on random subspaces and their cyclic cores, table backings included
+    rng = random.Random(21)
+    for m in rng.sample(lattice_cases(), 160):
+        for _ in range(8):
+            a = random_subspace(rng, m.q, m.n, rng.randint(0, m.n))
+            for b in (a, cyclic_core(m, a)):
+                assert m.is_cyclic(b) == _is_cyclic_by_hyperplanes(m, b)
 
 
 def test_cyclic_core_is_the_largest_cyclic_subspace():

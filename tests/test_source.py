@@ -114,13 +114,18 @@ def _defined(path, name):
 
 def test_flats_route_sweeps_no_lattice():
     # weak comparison, minors and the factorization's rebuild check read
-    # cyclic flats at every size; the lattice sweeps are the test oracles
+    # cyclic flats at every size, and flatness and cyclicity the flats
+    # where the rank formula is least; the lattice sweeps and the atom and
+    # hyperplane streams are the test oracles
     for path, name in (("constructions.py", "weak_compare_identity"),
                        ("qmatroid.py", "QMatroid.minor_with_map"),
+                       ("qmatroid.py", "QMatroid.is_flat"), ("qmatroid.py", "QMatroid._is_flat_in"),
+                       ("qmatroid.py", "QMatroid.is_cyclic"),
                        ("factorization.py", "primary_factorization")):
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(_defined(path, name)) if isinstance(node, ast.Call)}
-        assert not called & {"enumerate_subspaces", "rank_tables_equal", "require_materialize_budget"}
+        assert not called & {"enumerate_subspaces", "rank_tables_equal", "require_materialize_budget",
+                             "atoms", "atom_vectors", "codim1_subspaces", "subspaces_of"}, name
 
 
 def test_lattice_queries_read_the_inclusion_order():
