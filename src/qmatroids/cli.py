@@ -284,7 +284,7 @@ def _cmd_irreducible(args):
 
 
 def _cmd_from_matrix(args):
-    m = qmatroid_from_matrix(_load_matrix(args.matrix, args.modulus), args.q)
+    m = qmatroid_from_matrix(_load_matrix(args.matrix, args.modulus))
     return _matroid_report(m), _matroid_text(m), 0
 
 
@@ -325,22 +325,21 @@ def _cmd_search_x(args):
 
 def _cmd_verify_free_product_rep(args):
     G = _load_matrix(args.matrix, args.modulus)
-    ok = verify_free_product_rep(G, G.field.q if args.q is None else args.q, args.n1, args.k1)
+    ok = verify_free_product_rep(G, args.n1, args.k1)
     return {"verified": ok, "n1": args.n1, "k1": args.k1}, str(ok).lower(), 0 if ok else 1
 
 
 def _cmd_enumerate(args):
     if args.n is None:
         raise InputError("enumerate needs --n")
-    q = 2 if args.q is None else args.q
-    ms = list(enumerate_qmatroids(q, args.n))
+    ms = list(enumerate_qmatroids(args.q, args.n))
     report = {
-        "q": q,
+        "q": args.q,
         "n": args.n,
         "count": len(ms),
         "matroids": [m.to_dict() for m in ms],
     }
-    lines = [f"{len(ms)} q-matroids on F_{q}^{args.n} up to isomorphism"]
+    lines = [f"{len(ms)} q-matroids on F_{args.q}^{args.n} up to isomorphism"]
     for m in ms:
         flats = m.to_dict()["cyclic_flats"]
         lines.append(f"  rank {m.rank(m.E)}, {len(flats)} cyclic flats")
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = option("--format", choices=("json", "text"), default="text")
     modulus = option("--modulus", default=None,
                      help="field modulus coefficients, low degree first, e.g. 1,1,0,0,1")
-    field_q = option("--q", type=int, default=None, help="base field size")
     workers = option("--workers", type=int, default=1, help="search processes")
     budget = option("--budget", choices=("default", "vamos"), default="default")
 
@@ -409,17 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     verb("weak-compare", doc="first q-matroid", doc2="second q-matroid")
     verb("factorize", doc="q-matroid document")
     verb("irreducible", budget, doc="q-matroid document")
-    verb("from-matrix", modulus, field_q, matrix="matrix document")
+    verb("from-matrix", modulus, matrix="matrix document")
     verb("club-check", modulus, matrix="matrix document")
     p = verb("evasive-check", modulus, matrix="matrix document")
     p.add_argument("--k1", type=int, required=True, help="distinguished block dimension")
     p.add_argument("--h", dest="bound", type=int, required=True, help="intersection bound")
     verb("search-x", modulus, workers, matrix="left matrix document",
          matrix2="right matrix document")
-    p = verb("verify-free-product-rep", modulus, field_q, matrix="matrix document")
+    p = verb("verify-free-product-rep", modulus, matrix="matrix document")
     p.add_argument("--n1", type=int, required=True, help="ground split position")
     p.add_argument("--k1", type=int, required=True, help="left factor rank")
-    p = verb("enumerate", field_q)
+    p = verb("enumerate")
+    p.add_argument("--q", type=int, default=2, help="base field size")
     p.add_argument("--n", type=int, default=None, help="ambient dimension")
     return parser
 

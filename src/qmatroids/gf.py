@@ -473,14 +473,17 @@ def ext_field_new(q: int, m: int, modulus: Sequence[int] | None = None) -> ExtFi
 # Dense matrices over either kind of field.
 
 class Matrix:
-    """An immutable dense matrix with entries encoded as field ints."""
+    """An immutable dense matrix; each entry is a field element, an int in 0..order - 1."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise InputError("ragged matrix rows")
+        for x in (x for r in rows for x in r):
+            if type(x) is not int or not 0 <= x < field.order:
+                raise InputError(f"entry {x!r} is not an element of a field of order {field.order}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))

@@ -4,17 +4,18 @@ A full-row-rank k x n matrix G over GF(q^m) assigns to every
 F_q-subspace U of F_q^n the GF(q^m)-rank of G * A^U, where A^U is the
 transpose of U's canonical basis.  That assignment is a q-matroid rank
 function.  This module materializes it, profiles the linear set cut out
-by the column system on the projective line, tests evasivity against
-the hyperplanes that avoid a distinguished coordinate block, and
-searches for coupling blocks X that make the stacked matrix
-(G1 X; 0 G2) represent a free product of uniform q-matroids.  The
-search computes the target's bases once and tests each candidate on
-them alone, reading the images of basis rows from one table of all
-q^n images per candidate; the profile reads the same table.
+by a two-row system on the projective line PG(1, q^m), reads evasivity
+off that profile, and searches for coupling blocks X that make the
+stacked matrix (G1 X; 0 G2) represent a free product of uniform
+q-matroids.  Every route reads the images of coefficient vectors from
+one table of all q^n of them (_image_table): the q-matroid of a matrix
+and the profile once, the search once per candidate, on the target's
+bases alone.  The base field F_q is always the prime field of G's field.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -26,11 +27,6 @@ from .errors import BudgetError, InputError, InvariantError
 from .gf import BaseField, ExtField, Matrix, matrix_rank, span_rank
 from .qmatroid import QMatroid
 from .subspace import Subspace, enumerate_subspaces, intersect_subspaces, vector_index
-
-# Hyperplane enumeration is (q^{mk}-1)/(q^m-1) normals; the checks this
-# module exists for only ever need k = 2.
-EVASIVE_DIM_LIMIT = 3
-EVASIVE_ORDER_LIMIT = 1 << 10
 
 # Candidate coupling blocks tried by search_x.  The largest worked case,
 # one free row over GF(2^7) with two unknown entries, sits exactly at
@@ -86,13 +82,10 @@ class QSystem:
     def __init__(self, field: ExtField, k: int, generators):
         if not isinstance(field, ExtField):
             raise InputError("a q-system lives in an extension field; use GF(q^1) for the prime field itself")
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        gens = Matrix(field, generators).rows  # every entry is a field element
         for g in gens:
             if len(g) != k:
                 raise InputError(f"generator length {len(g)} != ambient dimension {k}")
-            for x in g:
-                if not 0 <= x < field.order:
-                    raise InputError(f"entry {x} out of range for a field of order {field.order}")
         # Independence over F_q is rank of the q-ary coordinate expansion.
         expanded = [[c for x in g for c in field.coeffs(x)] for g in gens]
         if span_rank(BaseField(field.q), expanded) != len(gens):
@@ -127,27 +120,20 @@ class QSystem:
         return _combine(self.field, self.generators, coeffs)
 
 
-def qmatroid_from_matrix(G: Matrix, q: int | None = None) -> QMatroid:
+def qmatroid_from_matrix(G: Matrix) -> QMatroid:
     """The q-matroid on F_q^n whose rank of U is the field rank of G * A^U.
 
-    q defaults to the prime of G's field and must match it when given.
-    The whole rank table is materialized, one small elimination per
-    subspace of F_q^n.
+    q is the prime of G's field.  The whole rank table is materialized,
+    one small elimination per subspace of F_q^n on the images of its
+    basis rows, read from the image table by vector_index.
     """
-    fq = G.field.q
-    if q is None:
-        q = fq
-    elif q != fq:
-        raise InputError(f"requested base field GF({q}) but the matrix lives over a field of characteristic {fq}")
-    k, n = G.nrows, G.ncols
+    field, k, n = G.field, G.nrows, G.ncols
+    q = field.q
     if matrix_rank(G) != k:
         raise InputError("matrix does not have full row rank")
-    cols = _columns(G)
-    field = G.field
-    table = {}
-    for s in enumerate_subspaces(q, n):
-        vecs = [_combine(field, cols, row) for row in s.coeff_rows()]
-        table[s] = span_rank(field, vecs)
+    images = _image_table(field, _columns(G))
+    table = {s: span_rank(field, [images[vector_index(q, n, v)] for v in s.rows])
+             for s in enumerate_subspaces(q, n)}
     return QMatroid.from_rank_table(q, n, table)
 
 
@@ -235,8 +221,9 @@ def linear_set_profile(system: QSystem) -> LinearSetProfile:
     if q**n > PROFILE_VECTOR_LIMIT:
         raise BudgetError(f"profiling streams q^n = {q**n} vectors, over the budget {PROFILE_VECTOR_LIMIT}")
     counts: dict[tuple[int, int], int] = {}
+    inv = functools.cache(field.inv)  # a field without log tables inverts by powering
     for y0, y1 in _image_table(field, system.generators)[1:]:
-        pt = (1, field.mul(field.inv(y0), y1)) if y0 else (0, 1)
+        pt = (1, field.mul(inv(y0), y1)) if y0 else (0, 1)
         counts[pt] = counts.get(pt, 0) + 1
     points = []
     for pt in sorted(counts):
@@ -265,37 +252,20 @@ def is_i_club(system: QSystem) -> Optional[int]:
 def is_evasive(system: QSystem, k1: int, h: int) -> bool:
     """Whether every hyperplane avoiding F_{q^m}^{k1} + 0 meets the system thinly.
 
-    The family consists of the hyperplanes of F_{q^m}^k that do not
+    The family consists of the hyperplanes of F_{q^m}^2 that do not
     contain the span of the first k1 coordinates; evasivity holds when
-    each of them intersects the system in F_q-dimension at most h.
+    each of them intersects the system in F_q-dimension at most h.  A
+    hyperplane of F_{q^m}^2 is a point of PG(1, q^m), and it meets the
+    system in that point's profile weight (0 when unlisted); the one
+    containing the first axis is the point (1, 0).  So the verdict reads
+    the linear-set profile, which takes k = 2 only.
     """
-    field, k = system.field, system.k
-    if not 1 <= k1 <= k:
-        raise InputError(f"distinguished block dimension {k1} out of range for ambient {k}")
+    if not 1 <= k1 <= system.k:
+        raise InputError(f"distinguished block dimension {k1} out of range for ambient {system.k}")
     if h < 0:
         raise InputError("intersection bound must be nonnegative")
-    if k > EVASIVE_DIM_LIMIT or field.order > EVASIVE_ORDER_LIMIT:
-        raise BudgetError(
-            f"hyperplane scan supports k <= {EVASIVE_DIM_LIMIT} and q^m <= {EVASIVE_ORDER_LIMIT}"
-        )
-    base = BaseField(field.q)
-    n = system.n
-    for pos in range(k):
-        for tail in itertools.product(range(field.order), repeat=k - pos - 1):
-            u = (field.zero,) * pos + (field.one,) + tail
-            if not any(u[i] for i in range(k1)):
-                continue  # this hyperplane contains the distinguished block
-            # dim over F_q of (hyperplane meet system) = n - rank of the
-            # functional's coordinate matrix on the generators.
-            rows = []
-            for g in system.generators:
-                val = field.zero
-                for ui, gi in zip(u, g):
-                    val = field.add(val, field.mul(ui, gi))
-                rows.append(field.coeffs(val))
-            if n - span_rank(base, rows) > h:
-                return False
-    return True
+    points = linear_set_profile(system).points
+    return all(w <= h for pt, w in points if k1 == 2 or pt != (1, 0))
 
 
 def _split_seam(q: int, n: int, n1: int) -> Subspace:
@@ -303,44 +273,45 @@ def _split_seam(q: int, n: int, n1: int) -> Subspace:
     return Subspace.from_coeff_rows(q, n, rows)
 
 
-def verify_free_product_rep(G: Matrix, q: int, n1: int, k1: int) -> bool:
+def _free_product_flats(q: int, n: int, n1: int, k1: int, k: int) -> dict:
+    """The cyclic flats of U(k1, n1) free-product U(k - k1, n - n1), with ranks.
+
+    They are 0, the seam F_q^{n1} + 0 and F_q^n, at ranks 0, k1 and k,
+    when both factors are proper uniforms.
+    """
+    return {Subspace.zero(q, n): 0, _split_seam(q, n, n1): k1, Subspace.full(q, n): k}
+
+
+def verify_free_product_rep(G: Matrix, n1: int, k1: int) -> bool:
     """Whether G represents the free product of two uniform q-matroids.
 
-    Builds the q-matroid of G and tests that its cyclic flats are
-    exactly 0, F_q^{n1} + 0 and F_q^n with ranks 0, k1 and k.  That
-    profile characterizes U_{k1,n1} free-product U_{k-k1,n-n1} when
-    both factors are proper uniforms.
+    Builds the q-matroid of G, over the prime field of G's field, and
+    tests that its cyclic flats are exactly those of U_{k1,n1}
+    free-product U_{k-k1,n-n1} (see _free_product_flats).
     """
     k, n = G.nrows, G.ncols
     if not 0 < n1 < n:
         raise InputError(f"split position {n1} must be strictly inside 0..{n}")
     if not 0 < k1 < k:
         raise InputError(f"left rank {k1} must be strictly inside 0..{k}")
-    m = qmatroid_from_matrix(G, q)
-    expected = {
-        Subspace.zero(q, n): 0,
-        _split_seam(q, n, n1): k1,
-        Subspace.full(q, n): k,
-    }
-    return dict(m.cyclic_flats().pairs) == expected
+    m = qmatroid_from_matrix(G)
+    return dict(m.cyclic_flats().pairs) == _free_product_flats(G.field.q, n, n1, k1, k)
 
 
-def _search_candidates(order: int, k1: int, n2: int, leads=None):
-    """Coupling blocks as flat entry tuples, lexicographic in encoding.
+def _search_candidates(order: int, size: int, count: int, leads: range | None = None):
+    """Coupling blocks as flat tuples of `size` entries, lexicographic in encoding.
 
-    With a single row the first entry is pinned to zero: X -> X + l*G2
-    keeps the row space of (G1 X; 0 G2), and some l zeroes the entry once
-    G2's first column is nonzero, as it is for every hit (the contraction
-    U(k2, n2) has no loops).  `leads` restricts the first free entry,
-    which is how the space splits across workers.
+    They are the first `count` of all order**size blocks, which are the
+    blocks whose pinned entries are zero (see coupling_search_size).
+    `leads`, a range of values of the first free entry, selects
+    count // order blocks per value, which is how the space splits
+    across workers.
     """
-    free = k1 * n2 - 1 if k1 == 1 else k1 * n2
-    prefix = (0,) if k1 == 1 else ()
+    step = count // order
     if leads is None:
         leads = range(order)
-    for first in leads:
-        for rest in itertools.product(range(order), repeat=free - 1):
-            yield prefix + (first,) + rest
+    blocks = itertools.product(range(order), repeat=size)
+    return itertools.islice(blocks, leads.start * step, leads.stop * step)
 
 
 def _as_block(field, entries, k1: int, n2: int) -> Matrix:
@@ -363,7 +334,7 @@ def _scan_chunk(args):
     left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
     g2cols = _columns(G2)
     hits = []
-    for entries in _search_candidates(field.order, k1, n2, leads=leads):
+    for entries in _search_candidates(field.order, k1 * n2, coupling_search_size(G1, G2), leads=leads):
         cols = left + [tuple(entries[i * n2 + j] for i in range(k1)) + g2cols[j]
                        for j in range(n2)]
         table = _image_table(field, cols)
@@ -375,9 +346,11 @@ def _scan_chunk(args):
 def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     """Number of coupling blocks search_x enumerates for this pair.
 
-    One entry is pinned to zero along the row space of (0 G2) when G1
-    has a single row (see _search_candidates), so the count is
-    order**(k1*n2 - 1) in that case and order**(k1*n2) otherwise.
+    With a single row the first entry is pinned to zero: X -> X + l*G2
+    keeps the row space of (G1 X; 0 G2), and some l zeroes the entry once
+    G2's first column is nonzero, as it is for every hit (the contraction
+    U(k2, n2) has no loops).  So the count is order**(k1*n2 - 1) in that
+    case and order**(k1*n2) otherwise.
     """
     if G1.field != G2.field:
         raise InputError("both factors must be represented over one field")
@@ -389,10 +362,11 @@ def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     return G1.field.order**free
 
 
-def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
+def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1,
              limit: int = SEARCH_X_LIMIT) -> list[Matrix]:
     """All coupling blocks X making (G1 X; 0 G2) represent a uniform free product.
 
+    The q-matroids live over the prime field of the matrices' field.
     Exhaustive over the whole entry space (first entry normalized to
     zero when G1 has one row), in lexicographic order of the entry
     encodings.  A q-matroid is determined by its bases, so a candidate
@@ -412,11 +386,7 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
     field = G1.field
-    fq = field.q
-    if q is None:
-        q = fq
-    elif q != fq:
-        raise InputError(f"requested base field GF({q}) but the matrices live over a field of characteristic {fq}")
+    q = field.q
     k1, n1 = G1.nrows, G1.ncols
     k2, n2 = G2.nrows, G2.ncols
     if matrix_rank(G1) != k1 or matrix_rank(G2) != k2:
@@ -434,8 +404,7 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
     ranks = {s: target.rank(s) for s in enumerate_subspaces(q, n)}
     anchor = QMatroid.from_rank_table(q, n, ranks)
     seam = _split_seam(q, n, n1)
-    expected = {Subspace.zero(q, n): 0, seam: k1, Subspace.full(q, n): k}
-    if dict(anchor.cyclic_flats().pairs) != expected:
+    if dict(anchor.cyclic_flats().pairs) != _free_product_flats(q, n, n1, k1, k):
         raise InvariantError("target's cyclic flats are not the uniform free-product profile")
     bases = []
     for s, r in ranks.items():
@@ -458,6 +427,6 @@ def search_x(G1: Matrix, G2: Matrix, q: int | None = None, *, workers: int = 1,
         hits = _scan_chunk(task + (None,))
     if hits:
         first = _as_block(field, hits[0], k1, n2)
-        if not verify_free_product_rep(block_rep(G1, G2, first), q, n1, k1):
+        if not verify_free_product_rep(block_rep(G1, G2, first), n1, k1):
             raise InvariantError("first hit failed the literal verification")
     return [_as_block(field, entries, k1, n2) for entries in hits]

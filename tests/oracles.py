@@ -28,6 +28,8 @@ as the rank table r(X) - r(sub) on every subspace of the quotient.
 a candidate passes when its rank on every nonzero subspace equals the
 free-product target's.  `linear_set_profile_by_stream` profiles a linear
 set by combining the generators afresh for every coefficient vector.
+`is_evasive_by_hyperplanes` decides evasivity by one functional per
+hyperplane of F_{q^m}^k, for any k.
 
 `check_rank_axioms_by_definition` and
 `check_independence_axioms_by_definition` are the pairwise axiom
@@ -43,7 +45,7 @@ import itertools
 from qmatroids.constructions import WeakOrderVerdict, free_product
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.factorization import free_separators
-from qmatroids.gf import Matrix
+from qmatroids.gf import BaseField, Matrix, span_rank
 from qmatroids.qmatroid import (
     AxiomVerdict,
     QMatroid,
@@ -366,6 +368,29 @@ def linear_set_profile_by_stream(system):
             w += 1
         points.append((pt, w))
     return LinearSetProfile(field=field, rank=system.n, points=tuple(points))
+
+
+def is_evasive_by_hyperplanes(system, k1: int, h: int) -> bool:
+    """Evasivity by every normalized functional u of F_{q^m}^k whose
+    hyperplane ker u does not contain F_{q^m}^{k1} + 0: the hyperplane
+    meets the system in F_q-dimension n minus the rank of u's
+    coordinates on the generators."""
+    field, k, n = system.field, system.k, system.n
+    base = BaseField(field.q)
+    for pos in range(k):
+        for tail in itertools.product(range(field.order), repeat=k - pos - 1):
+            u = (field.zero,) * pos + (field.one,) + tail
+            if not any(u[:k1]):
+                continue  # this hyperplane contains the distinguished block
+            rows = []
+            for g in system.generators:
+                val = field.zero
+                for ui, gi in zip(u, g):
+                    val = field.add(val, field.mul(ui, gi))
+                rows.append(field.coeffs(val))
+            if n - span_rank(base, rows) > h:
+                return False
+    return True
 
 
 def check_rank_axioms_by_definition(q: int, n: int, table) -> AxiomVerdict:

@@ -254,6 +254,14 @@ def test_evasive_check_verb(capsys, docs):
     assert code == 0 and rep["evasive"] is True
 
 
+def test_evasive_check_needs_two_rows(capsys, tmp_path):
+    # hyperplanes of F_{q^m}^2 are the points of the profile's projective line
+    g3 = write(tmp_path, "g3.json", {
+        "field": {"q": 2, "m": 3}, "rows": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+    assert main(["evasive-check", g3, "--k1", "1", "--h", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_search_x_verb(capsys, docs):
     code, rep = run_json(capsys, ["search-x", docs["g1"], docs["g2"]])
     assert code == 0
@@ -264,9 +272,12 @@ def test_search_x_verb(capsys, docs):
 
 
 def test_options_go_only_to_the_verbs_that_read_them(capsys, docs):
-    # --q means nothing to a document that names its own field, and only
-    # the coupling search starts processes
+    # --q means nothing to a document that names its own field, a matrix's
+    # base field is the prime of its field, and only the coupling search
+    # starts processes
     for argv in (["cyclic-flats", docs["u12"], "--q", "3"],
+                 ["from-matrix", docs["g16"], "--q", "2"],
+                 ["verify-free-product-rep", docs["g16"], "--n1", "2", "--k1", "1", "--q", "0"],
                  ["rank", docs["u24"], docs["point"], "--workers", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -304,11 +315,9 @@ def test_enumerate_budget_exit(capsys):
         assert "budget" in capsys.readouterr().err
 
 
-def test_unsupported_field_size_exits_2(capsys, docs):
+def test_unsupported_field_size_exits_2(capsys):
     # --q 0 is not the default field; 4 is not a prime, so no budget applies
     assert main(["enumerate", "--n", "2", "--q", "0"]) == 2
-    assert main(["verify-free-product-rep", docs["g16"], "--n1", "2", "--k1", "1",
-                 "--q", "0"]) == 2
     assert main(["enumerate", "--n", "2", "--q", "4"]) == 2
     capsys.readouterr()
 

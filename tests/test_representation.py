@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import linear_set_profile_by_stream, search_x_by_rank_table
+from oracles import is_evasive_by_hyperplanes, linear_set_profile_by_stream, search_x_by_rank_table
 
 from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import BudgetError, InputError
@@ -70,13 +70,23 @@ def test_block_matrix_has_three_cyclic_flats():
     assert got == [(0, 0), (2, 1), (4, 2)]
     seam = Subspace.from_coeff_rows(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert any(z == seam for z, _ in m.certificates())
-    assert verify_free_product_rep(example16(), 2, 2, 1)
+    assert verify_free_product_rep(example16(), 2, 1)
 
 
 def test_matrix_and_system_routes_agree():
-    G = example16()
-    assert rank_tables_equal(qmatroid_from_matrix(G),
-                             qmatroid_from_system(QSystem.from_matrix(G)))
+    # the matrix route reads the image table; the system route streams
+    # every vector of every subspace through QSystem.image
+    pairs = [(example16(), QSystem.from_matrix(example16()))]
+    rng = random.Random(22)
+    for q, m in ((2, 3), (2, 4), (3, 2), (5, 2)):
+        F = ext_field_new(q, m)
+        for k in (1, 2, 3):
+            for n in range(k, min(k * m, {2: 5, 3: 4, 5: 3}[q]) + 1):
+                S = _random_system(rng, F, k, n)
+                pairs.append((Matrix(F, zip(*S.generators)), S))
+    assert len(pairs) > 20
+    for G, S in pairs:
+        assert rank_tables_equal(qmatroid_from_matrix(G), qmatroid_from_system(S)), G
 
 
 def test_system_rank_equals_span_dimension():
@@ -102,6 +112,7 @@ def test_profile_of_the_club_example():
     assert heavy == [(1, 0)]
     assert is_i_club(S) == 2
     assert is_evasive(S, 1, 1)
+    assert not is_evasive(S, 2, 1)  # the heavy point is the hyperplane holding the first axis
 
 
 def test_profile_weight_partition_identity():
@@ -113,7 +124,7 @@ def test_profile_weight_partition_identity():
 def test_zero_coupling_is_not_a_free_product_representation():
     G1, G2 = pair16()
     G0 = block_rep(G1, G2, Matrix(F16, [(0, 0)]))
-    assert not verify_free_product_rep(G0, 2, 2, 1)
+    assert not verify_free_product_rep(G0, 2, 1)
     S0 = QSystem.from_matrix(G0)
     assert linear_set_profile(S0).weights() == [1] * 6 + [2] * 3
     assert is_i_club(S0) is None
@@ -147,7 +158,7 @@ def test_search_over_f16_freezes_the_hit_list():
     assert ap(11) in encodings
     for h in hits:
         G = block_rep(G1, G2, h)
-        assert verify_free_product_rep(G, 2, 2, 1)
+        assert verify_free_product_rep(G, 2, 1)
         assert is_evasive(QSystem.from_matrix(G), 1, 1)
 
 
@@ -186,7 +197,7 @@ def test_club_condition_tracks_verification_on_every_candidate():
     G1, G2 = pair16()
     for x2 in range(16):
         G = block_rep(G1, G2, Matrix(F16, [(0, x2)]))
-        verified = verify_free_product_rep(G, 2, 2, 1)
+        verified = verify_free_product_rep(G, 2, 1)
         assert verified == (is_i_club(QSystem.from_matrix(G)) == 2)
 
 
@@ -301,6 +312,46 @@ def test_profile_matches_the_streaming_route():
     assert checked >= 50 and clubs > 0
 
 
+def test_evasivity_matches_the_hyperplane_route():
+    rng = random.Random(22)
+    fields = [ext_field_new(2, m) for m in (4, 5, 6)] + [ext_field_new(3, m) for m in (2, 3)]
+    fields.append(ext_field_new(5, 2))
+    # the two clubs have a heavy (1, 0), which only k1 = 2 counts
+    systems = [QSystem.from_matrix(example16()), QSystem.from_matrix(example128())]
+    for F in fields:
+        for n in range(2, min(2 * F.m, 6 if F.q == 2 else 4) + 1):
+            systems += [_random_system(rng, F, 2, n) for _ in range(2)]
+    verdicts = Counter()
+    for S in systems:
+        for k1 in (1, 2):
+            for h in range(S.n + 1):
+                got = is_evasive(S, k1, h)
+                assert got == is_evasive_by_hyperplanes(S, k1, h), (S, k1, h)
+                verdicts[got] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_evasivity_lives_on_the_projective_line():
+    F = ext_field_new(2, 3)
+    S = QSystem(F, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for k1 in (1, 2, 3):
+        with pytest.raises(InputError):
+            is_evasive(S, k1, 1)
+    S2 = QSystem.from_matrix(example16())
+    for k1, h in ((0, 1), (3, 1), (1, -1)):
+        with pytest.raises(InputError):
+            is_evasive(S2, k1, h)
+
+
+@pytest.mark.parametrize("rows", [[[1, 99]], [[1, 16]], [[1, -1]], [[1.7, 2]], [[True, 2]]],
+                         ids=["too-large", "order", "negative", "float", "bool"])
+def test_matrix_entries_must_be_field_elements(rows):
+    with pytest.raises(InputError):
+        Matrix(F16, rows)
+    with pytest.raises(InputError):
+        QSystem(F16, 2, [*rows, (0, 1)])
+
+
 F128 = ext_field_new(2, 7)
 B = F128.generator
 
@@ -320,7 +371,7 @@ def example128():
 
 def test_club_of_rank_five_over_the_big_field():
     G = example128()
-    assert verify_free_product_rep(G, 2, 2, 1)
+    assert verify_free_product_rep(G, 2, 1)
     S = QSystem.from_matrix(G)
     profile = linear_set_profile(S)
     assert profile.rank == 5
@@ -340,7 +391,7 @@ def test_full_search_over_the_big_field():
     want = (0, bp(36), bp(24))
     assert any(h.rows[0] == want for h in hits)
     sample = block_rep(G1, G2, hits[0])
-    assert verify_free_product_rep(sample, 2, 2, 1)
+    assert verify_free_product_rep(sample, 2, 1)
     assert is_i_club(QSystem.from_matrix(sample)) == 2
 
 

@@ -170,3 +170,20 @@ def test_a_rank_table_answers_rank_queries_only():
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         assert "as_cyclic_flat_backed" not in text and "_scanned" not in text, path.name
+
+
+def test_representation_reads_the_projective_line_once():
+    # evasivity reads the linear-set profile and the q-matroid of a matrix
+    # the image table; the functional loop and the combination per basis
+    # row are the test oracles, and the base field is always the prime of
+    # the matrix's field
+    for name, wanted, banned in (("is_evasive", "linear_set_profile", "span_rank"),
+                                 ("qmatroid_from_matrix", "_image_table", "_combine")):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(_defined("representation.py", name))
+                  if isinstance(node, ast.Call)}
+        assert wanted in called and banned not in called, name
+    takes_q = [name for name, scope in _scopes("representation.py")
+               if isinstance(scope, ast.FunctionDef) and not name.rpartition(".")[2].startswith("_")
+               and "q" in {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}]
+    assert takes_q == []
