@@ -1,21 +1,22 @@
-"""Exact arithmetic over GF(q) for small primes q, and over GF(q^m).
+"""Exact arithmetic over GF(q^m) for small primes q.
 
-Field elements are plain integers.  In the prime field they are the
-residues 0..q-1; in an extension field GF(q^m) an element is the base-q
+Field elements are plain integers: an element of GF(q^m) is the base-q
 positional encoding of its coefficient vector, low degree first, so for
 q = 2 the encoding coincides with the usual bit-packing of a binary
-polynomial.  Field handles are immutable and every operation is a pure
-function, so handles and elements can be shared freely across threads
-and worker processes.
+polynomial.  The prime field is GF(q^1), whose elements are the
+residues 0..q-1.  Field handles are immutable and every operation is a
+pure function, so handles and elements can be shared freely across
+threads and worker processes.
 
 Only desk-scale fields are supported: q must be a prime at most 13 and
-q^m may not exceed 2^20.  Matrices are dense tuples of tuples, and the
-only linear algebra on them is their rank (`span_rank`).
+q^m may not exceed 2^20.  A field's order alone picks its arithmetic:
+log tables up to 2^16, whatever the modulus, and polynomials above.
+Matrices are dense tuples of tuples, and the only linear algebra on
+them is their rank (`span_rank`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -23,9 +24,10 @@ from .errors import InputError
 MAX_BASE_PRIME = 13
 MAX_EXT_ORDER = 1 << 20
 
-# Log/antilog tables are built eagerly for primitive moduli up to this
-# order; beyond it multiplication falls back to polynomial arithmetic,
-# and odd-q addition to coefficient vectors.
+# Log/antilog tables are built eagerly for every field up to this order,
+# on a primitive element; beyond it multiplication falls back to
+# polynomial arithmetic, inversion to powering, and odd-q addition to
+# coefficient vectors.
 _LOG_TABLE_LIMIT = 1 << 16
 
 
@@ -180,12 +182,7 @@ def smallest_factor(modulus: Sequence[int], q: int) -> tuple[int, ...]:
     m = poly_deg(f)
     for d in range(1, m // 2 + 1):
         for tail in range(q**d):
-            coeffs = []
-            t = tail
-            for _ in range(d):
-                coeffs.append(t % q)
-                t //= q
-            cand = tuple(coeffs) + (1,)
+            cand = tuple(tail // q**i % q for i in range(d)) + (1,)
             if not poly_mod(f, cand, q):
                 return cand
     return f
@@ -195,12 +192,7 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree m over GF(q)."""
     _check_base_prime(q)
     for tail in range(q**m):
-        coeffs = []
-        t = tail
-        for _ in range(m):
-            coeffs.append(t % q)
-            t //= q
-        cand = tuple(coeffs) + (1,)
+        cand = tuple(tail // q**i % q for i in range(m)) + (1,)
         if is_irreducible(cand, q):
             return cand
     raise InputError(f"no irreducible polynomial of degree {m} over GF({q})")
@@ -209,57 +201,6 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Field handles.
 
-@dataclass(frozen=True)
-class BaseField:
-    """The prime field GF(q), elements 0..q-1."""
-
-    q: int
-
-    def __post_init__(self):
-        _check_base_prime(self.q)
-
-    @property
-    def order(self) -> int:
-        return self.q
-
-    zero = 0
-    one = 1
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)
-
-    def parse_element(self, s) -> int:
-        try:
-            v = int(s)
-        except (TypeError, ValueError):
-            raise InputError(f"cannot parse {s!r} as a GF({self.q}) element") from None
-        if not 0 <= v < self.q:
-            raise InputError(f"element {v} out of range for GF({self.q})")
-        return v
-
-    def format_element(self, a: int) -> str:
-        return str(a)
-
-
 class ExtField:
     """The extension field GF(q^m) defined by a monic irreducible modulus.
 
@@ -267,7 +208,10 @@ class ExtField:
     Elements are ints in [0, q^m); ``coeffs``/``encode`` convert between
     an element and its coefficient vector.  When the residue class of x
     generates the multiplicative group, the modulus is recorded as
-    primitive and elements format as "a^k".
+    primitive and elements format as "a^k"; `is_primitive` sets only
+    that display.  The log tables of a field up to _LOG_TABLE_LIMIT are
+    built on the class of x when it generates, and otherwise on the
+    first generator in encoding order.
     """
 
     def __init__(self, q: int, m: int, modulus: Sequence[int]):
@@ -293,9 +237,10 @@ class ExtField:
         self._mod_int = sum(c << i for i, c in enumerate(mod)) if q == 2 else None
         self.generator = self.encode((0, 1)) if m > 1 else (-mod[0]) % q
         self._exp = self._log = self._zech = None
-        self.is_primitive = self._check_primitive()
-        if self.is_primitive and order <= _LOG_TABLE_LIMIT:
-            self._build_tables()
+        self.is_primitive = self._generates(self.generator)
+        if order <= _LOG_TABLE_LIMIT:
+            self._build_tables(self.generator if self.is_primitive
+                               else next(g for g in range(1, order) if self._generates(g)))
 
     # -- identity & hashing on the defining data
     def __eq__(self, other):
@@ -344,15 +289,10 @@ class ExtField:
     def _add_logs(self, i: int, j: int) -> int:
         """g^i + g^j as a g^i (1 + g^(j-i)), by the table of log(1 + g^k)
         (None where 1 + g^k = 0), built on first use."""
-        n = self.order - 1
-        zech = self._zech
-        if zech is None:
-            one = self.coeffs(1)
-            zech = [None] * n
-            for k, v in enumerate(self._exp):
-                s = self.encode(x + y for x, y in zip(one, self.coeffs(v)))
-                zech[k] = self._log[s] if s else None
-            self._zech = zech
+        n, q, zech = self.order - 1, self.q, self._zech
+        if zech is None:  # adding 1 changes only the constant digit
+            zech = self._zech = [self._log[s] if s else None
+                                 for s in (v - v % q + (v + 1) % q for v in self._exp)]
         k = zech[(j - i) % n]
         return 0 if k is None else self._exp[(i + k) % n]
 
@@ -404,19 +344,37 @@ class ExtField:
             e >>= 1
         return acc
 
-    def _check_primitive(self) -> bool:
-        g = self.generator
-        if g == 0:
-            # happens for m = 1 with modulus x, whose residue class is 0
-            return False
+    def _generates(self, g: int) -> bool:
+        """Whether g generates the multiplicative group.  0 never does; it
+        is the class of x for m = 1 with modulus x."""
         n = self.order - 1
-        return all(self.pow(g, n // p) != 1 for p in prime_factors(n))
+        return g != 0 and all(self.pow(g, n // p) != 1 for p in prime_factors(n))
 
-    def _build_tables(self):
-        n = self.order - 1
+    def _build_tables(self, g: int):
+        """Walk g's powers into exp/log tables.  Multiplying by g is
+        F_q-linear, so a step reads the images g x^j of the basis and
+        reduces no polynomial: for q = 2 it XORs the images of the low
+        byte and of the rest (m <= 16), each tabulated from the images
+        of its bits; for odd q it sums the images in 16-bit slots, one
+        per coefficient (each at most m (q-1)^2 < 2^10), mod q."""
+        q, m, n = self.q, self.m, self.order - 1
+        images = [self.mul(q**j, g) for j in range(m)]
         exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self.mul(exp[i - 1], self.generator)
+        if q == 2:
+            lo, hi = [0], [0]  # the images of every low byte and every rest
+            for j, c in enumerate(images):
+                t = lo if j < 8 else hi
+                t += [x ^ c for x in t]
+            for i in range(1, n):
+                exp[i] = lo[exp[i - 1] & 255] ^ hi[exp[i - 1] >> 8]
+        else:
+            cols = [sum(d << 16 * k for k, d in enumerate(self.coeffs(c))) for c in images]
+            slots, weights = range(0, 16 * m, 16), [q**k for k in range(m)]
+            v = [1] + [0] * (m - 1)
+            for i in range(1, n):
+                p = sum([a * col for a, col in zip(v, cols) if a])
+                v = [(p >> s & 0xFFFF) % q for s in slots]
+                exp[i] = sum(map(int.__mul__, v, weights))
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
@@ -449,7 +407,7 @@ class ExtField:
             return "0"
         if a == 1:
             return "1"
-        if self._log is not None:
+        if self.is_primitive and self._log is not None:
             return f"a^{self._log[a]}"
         return str(a)
 
@@ -470,7 +428,7 @@ def ext_field_new(q: int, m: int, modulus: Sequence[int] | None = None) -> ExtFi
 
 
 # ---------------------------------------------------------------------------
-# Dense matrices over either kind of field.
+# Dense matrices over a field.
 
 class Matrix:
     """An immutable dense matrix; each entry is a field element, an int in 0..order - 1."""

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, InputError
 from .subspace import (
+    DOCUMENT_AMBIENT_LIMIT,
     MASK_AMBIENT_LIMIT,
     QuotientMap,
     Subspace,
@@ -350,11 +351,16 @@ def parse_document(doc: dict):
     kind is "cyclic_flats" or "ranks" (the first present wins) and pairs
     lists one (subspace, value) per entry.  A document of the wrong shape
     (a missing key, a value that is not an integer, a repeated subspace)
-    raises InputError; whether the values obey any axioms is left to the
-    caller.
+    raises InputError, and one on more than DOCUMENT_AMBIENT_LIMIT
+    vectors BudgetError; whether the values obey any axioms is left to
+    the caller.
     """
     q, n = read_header(doc, "q-matroid")
     Subspace.zero(q, n)  # rejects a bad field size or a negative dimension
+    # n past the limit's bit length already exceeds it, and q**n would be huge
+    if n >= DOCUMENT_AMBIENT_LIMIT.bit_length() or q**n > DOCUMENT_AMBIENT_LIMIT:
+        raise BudgetError(f"a q-matroid on F_{q}^{n} exceeds the budget of "
+                          f"{DOCUMENT_AMBIENT_LIMIT} ambient vectors")
     for kind, key in (("cyclic_flats", "rank"), ("ranks", "r")):
         if kind in doc:
             break

@@ -15,7 +15,6 @@ bases alone.  The base field F_q is always the prime field of G's field.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import os
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 from .constructions import free_product
 from .errors import BudgetError, InputError, InvariantError
-from .gf import BaseField, ExtField, Matrix, matrix_rank, span_rank
+from .gf import ExtField, Matrix, matrix_rank, span_rank
 from .qmatroid import QMatroid
 from .subspace import Subspace, enumerate_subspaces, intersect_subspaces, vector_index
 
@@ -73,22 +72,20 @@ class QSystem:
     """An F_q-subspace of F_{q^m}^k, given by an independent generating set.
 
     The generators are the columns of a representing matrix: they must
-    be linearly independent over the prime field F_q and must span the
+    be linearly independent over the prime field F_q, which the subspace
+    kernel tests on their q-ary coordinate expansions, and must span the
     full ambient space over F_{q^m}.
     """
 
     __slots__ = ("field", "k", "generators")
 
     def __init__(self, field: ExtField, k: int, generators):
-        if not isinstance(field, ExtField):
-            raise InputError("a q-system lives in an extension field; use GF(q^1) for the prime field itself")
         gens = Matrix(field, generators).rows  # every entry is a field element
         for g in gens:
             if len(g) != k:
                 raise InputError(f"generator length {len(g)} != ambient dimension {k}")
-        # Independence over F_q is rank of the q-ary coordinate expansion.
         expanded = [[c for x in g for c in field.coeffs(x)] for g in gens]
-        if span_rank(BaseField(field.q), expanded) != len(gens):
+        if Subspace.from_coeff_rows(field.q, k * field.m, expanded).dim != len(gens):
             raise InputError("generators are linearly dependent over the prime field")
         if span_rank(field, gens) != k:
             raise InputError("generators do not span the ambient space over the extension field")
@@ -131,9 +128,13 @@ def qmatroid_from_matrix(G: Matrix) -> QMatroid:
     q = field.q
     if matrix_rank(G) != k:
         raise InputError("matrix does not have full row rank")
+    subspaces = enumerate_subspaces(q, n)
+    # Drawing the zero space runs the stream's budget check before the
+    # table of q^n images is built.
+    table = {next(subspaces): 0}
     images = _image_table(field, _columns(G))
-    table = {s: span_rank(field, [images[vector_index(q, n, v)] for v in s.rows])
-             for s in enumerate_subspaces(q, n)}
+    table.update((s, span_rank(field, [images[vector_index(q, n, v)] for v in s.rows]))
+                 for s in subspaces)
     return QMatroid.from_rank_table(q, n, table)
 
 
@@ -221,9 +222,8 @@ def linear_set_profile(system: QSystem) -> LinearSetProfile:
     if q**n > PROFILE_VECTOR_LIMIT:
         raise BudgetError(f"profiling streams q^n = {q**n} vectors, over the budget {PROFILE_VECTOR_LIMIT}")
     counts: dict[tuple[int, int], int] = {}
-    inv = functools.cache(field.inv)  # a field without log tables inverts by powering
     for y0, y1 in _image_table(field, system.generators)[1:]:
-        pt = (1, field.mul(inv(y0), y1)) if y0 else (0, 1)
+        pt = (1, field.mul(field.inv(y0), y1)) if y0 else (0, 1)
         counts[pt] = counts.get(pt, 0) + 1
     points = []
     for pt in sorted(counts):
@@ -362,8 +362,7 @@ def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     return G1.field.order**free
 
 
-def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1,
-             limit: int = SEARCH_X_LIMIT) -> list[Matrix]:
+def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1) -> list[Matrix]:
     """All coupling blocks X making (G1 X; 0 G2) represent a uniform free product.
 
     The q-matroids live over the prime field of the matrices' field.
@@ -394,8 +393,8 @@ def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1,
     if not (k1 < n1 and k2 < n2):
         raise InputError("a uniform free product with this cyclic-flat profile needs k_i < n_i on both sides")
     count = coupling_search_size(G1, G2)
-    if count > limit:
-        raise BudgetError(f"search space has {count} candidates, over the budget {limit}")
+    if count > SEARCH_X_LIMIT:
+        raise BudgetError(f"search space has {count} candidates, over the budget {SEARCH_X_LIMIT}")
     n, k = n1 + n2, k1 + k2
     # Scan-route anchor: the target's cyclic flats must be the exact
     # profile the literal verifier tests for.  Given that, having the

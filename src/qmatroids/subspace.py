@@ -46,7 +46,7 @@ from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, InvariantError
-from .gf import is_prime, MAX_BASE_PRIME
+from .gf import _check_base_prime
 
 # Enumeration guards: streaming over vectors/atoms of an ambient space is
 # allowed up to 2^10 vectors, and callers that materialize every subspace
@@ -55,14 +55,12 @@ from .gf import is_prime, MAX_BASE_PRIME
 STREAM_AMBIENT_LIMIT = 1 << 10
 MATERIALIZE_LIMIT = 1 << 16
 MASK_AMBIENT_LIMIT = 1 << 13
+# A q-matroid document may name an ambient of at most 2^64 vectors:
+# building its ground space F_q^n lists n unit vectors of length n.
+DOCUMENT_AMBIENT_LIMIT = 1 << 64
 # Lattices with at most this many subspaces are kept once built, and are
 # small enough for free products to be checked by a full sweep.
 SMALL_LATTICE_LIMIT = 4096
-
-
-def _check_q(q: int) -> None:
-    if not is_prime(q) or q > MAX_BASE_PRIME:
-        raise InputError(f"q must be a prime <= {MAX_BASE_PRIME}, got {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ class Subspace:
     __slots__ = ("q", "n", "rows", "_mask", "_hash")
 
     def __init__(self, q: int, n: int, vectors: Iterable = (), *, _rows=None):
-        _check_q(q)
+        _check_base_prime(q)
         if n < 0:
             raise InputError("ambient dimension must be nonnegative")
         if _rows is None:
@@ -525,7 +523,7 @@ def enumerate_subspaces(q: int, n: int, dims: Iterable[int] | None = None) -> It
     A small lattice (see SMALL_LATTICE_LIMIT) yields the same objects on
     every call.
     """
-    _check_q(q)
+    _check_base_prime(q)
     _check_stream_budget(q, n)
     if dims is None:
         dims = range(n + 1)
@@ -602,13 +600,12 @@ def lattice_size(q: int, n: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def require_materialize_budget(q: int, n: int, limit: int | None = None) -> None:
-    limit = MATERIALIZE_LIMIT if limit is None else limit
+def require_materialize_budget(q: int, n: int) -> None:
     size = lattice_size(q, n)
-    if size > limit:
+    if size > MATERIALIZE_LIMIT:
         raise BudgetError(
             f"materializing all {size} subspaces of F_{q}^{n} exceeds the "
-            f"budget of {limit}"
+            f"budget of {MATERIALIZE_LIMIT}"
         )
 
 
@@ -699,7 +696,7 @@ class DirectSumContext:
     __slots__ = ("q", "n1", "n2", "n")
 
     def __init__(self, q: int, n1: int, n2: int):
-        _check_q(q)
+        _check_base_prime(q)
         if n1 < 0 or n2 < 0:
             raise InputError("block dimensions must be nonnegative")
         object.__setattr__(self, "q", q)
@@ -783,7 +780,7 @@ def invert_matrix(q: int, n: int, images: Sequence):
 
     Raises InputError when the images are linearly dependent.
     """
-    _check_q(q)
+    _check_base_prime(q)
     if len(images) != n:
         raise InputError("matrix must provide an image for every coordinate")
     units = _units(q, n)

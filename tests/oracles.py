@@ -45,7 +45,7 @@ import itertools
 from qmatroids.constructions import WeakOrderVerdict, free_product
 from qmatroids.errors import BudgetError, InputError
 from qmatroids.factorization import free_separators
-from qmatroids.gf import BaseField, Matrix, span_rank
+from qmatroids.gf import Matrix, ext_field_new, span_rank
 from qmatroids.qmatroid import (
     AxiomVerdict,
     QMatroid,
@@ -376,7 +376,7 @@ def is_evasive_by_hyperplanes(system, k1: int, h: int) -> bool:
     meets the system in F_q-dimension n minus the rank of u's
     coordinates on the generators."""
     field, k, n = system.field, system.k, system.n
-    base = BaseField(field.q)
+    base = ext_field_new(field.q, 1)
     for pos in range(k):
         for tail in itertools.product(range(field.order), repeat=k - pos - 1):
             u = (field.zero,) * pos + (field.one,) + tail

@@ -315,6 +315,28 @@ def test_enumerate_budget_exit(capsys):
         assert "budget" in capsys.readouterr().err
 
 
+def test_matrix_past_the_stream_budget_exits_3(capsys, tmp_path):
+    # the budget is checked before the table of q^n images, which for 40
+    # columns would not fit in memory
+    for verb, k, extra in (("from-matrix", 1, []), ("verify-free-product-rep", 2, ["--n1", "20", "--k1", "1"])):
+        rows = [[str(int(i == j)) for j in range(40)] for i in range(k)]
+        path = write(tmp_path, f"wide{k}.json", {"field": {"q": 2, "m": 4}, "rows": rows})
+        assert main([verb, path, *extra]) == 3
+        assert capsys.readouterr().err.startswith("budget exhausted: streaming over an ambient ")
+
+
+def test_document_ambient_budget(capsys, tmp_path):
+    # building the ground space lists n unit vectors of length n, so an
+    # ambient past 2^64 vectors is refused before it is built
+    for q, n, code in ((2, 64, 0), (2, 65, 3), (3, 40, 0), (3, 41, 3), (2, 16000, 3), (2, 10**100, 3)):
+        path = write(tmp_path, f"big{q}_{n}.json",
+                     {"q": q, "n": n, "cyclic_flats": [{"basis": [], "rank": 0}]})
+        for verb in ("cyclic-flats", "verify-axioms"):
+            assert main([verb, path]) == code, (q, n, verb)
+            err = capsys.readouterr().err
+            assert (code == 3) == err.startswith("budget exhausted: a q-matroid on ")
+
+
 def test_unsupported_field_size_exits_2(capsys):
     # --q 0 is not the default field; 4 is not a prime, so no budget applies
     assert main(["enumerate", "--n", "2", "--q", "0"]) == 2

@@ -1,9 +1,9 @@
 """Finite field and linear algebra sweeps.
 
 Arithmetic is checked against independent routes: integer arithmetic
-mod q for prime fields, and explicit polynomial reduction for
-extension fields, so the table-driven fast paths never certify
-themselves.
+mod q for prime fields GF(q^1), and explicit polynomial reduction and
+coefficient vectors for extension fields, so the table-driven fast
+paths never certify themselves.
 """
 
 import random
@@ -12,7 +12,7 @@ import pytest
 
 from qmatroids.errors import InputError
 from qmatroids.gf import (
-    BaseField,
+    _LOG_TABLE_LIMIT,
     ExtField,
     Matrix,
     ext_field_new,
@@ -34,9 +34,9 @@ def test_prime_guards():
     assert is_prime(2) and is_prime(3) and is_prime(13)
     assert not is_prime(1) and not is_prime(9) and not is_prime(15)
     with pytest.raises(InputError):
-        BaseField(4)
+        ext_field_new(4, 1)
     with pytest.raises(InputError):
-        BaseField(17)
+        ext_field_new(17, 1)
 
 
 def test_prime_factors():
@@ -47,8 +47,8 @@ def test_prime_factors():
 
 
 def test_base_field_matches_integer_arithmetic():
-    for q in (2, 3, 5, 7):
-        F = BaseField(q)
+    for q in (2, 3, 5, 7, 13):
+        F = ext_field_new(q, 1)
         assert F.order == q
         for a in range(q):
             for b in range(q):
@@ -126,9 +126,7 @@ def test_ext_mul_matches_polynomial_oracle():
         F = ext_field_new(q, m)
         for x in range(F.order):
             for y in range(F.order):
-                want = F.encode(poly_mod(poly_mul(F.coeffs(x), F.coeffs(y), q),
-                                         F.modulus, q))
-                assert F.mul(x, y) == want
+                assert F.mul(x, y) == _mul_by_polynomials(F, x, y)
 
 
 def test_ext_inverse_and_coeff_round_trip():
@@ -175,30 +173,127 @@ def test_odd_ext_add_sub_by_logs_match_coefficients():
             assert F.add(x, y) == by_coeffs(F, x, y, 1)
             assert F.sub(x, y) == by_coeffs(F, x, y, -1)
             assert F.sub(x, x) == 0
-    # GF(3^2) on x^2 + 1 is not primitive: no tables, the coefficient route
-    F = ext_field_new(3, 2)
-    assert F._log is None
+    # GF(3^11) is above the table limit: the coefficient and polynomial routes
+    F = ext_field_new(3, 11)
+    assert F.order > _LOG_TABLE_LIMIT and F._log is None
     assert F.add(F.generator, F.generator) == F.encode((0, 2))
+    for _ in range(300):
+        x, y = rng.randrange(F.order), rng.randrange(1, F.order)
+        assert F.add(x, y) == by_coeffs(F, x, y, 1)
+        assert F.sub(x, y) == by_coeffs(F, x, y, -1)
+        assert F.mul(x, y) == _mul_by_polynomials(F, x, y)
+        assert _mul_by_polynomials(F, y, F.inv(y)) == 1
+
+
+def _mul_by_polynomials(F, x, y):
+    return F.encode(poly_mod(poly_mul(F.coeffs(x), F.coeffs(y), F.q), F.modulus, F.q))
+
+
+# The default fields up to the table limit whose class of x does not
+# generate: before their tables were built on another generator, these
+# multiplied by polynomials and added by coefficient vectors.
+_NON_PRIMITIVE_DEFAULTS = {
+    (2, 1), (2, 8), (2, 9), (2, 12), (2, 14), (2, 16), (3, 1), (3, 2), (3, 7),
+    (3, 8), (3, 10), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (7, 1), (7, 2),
+    (7, 3), (7, 4), (7, 5), (11, 1), (11, 2), (13, 1), (13, 2), (13, 3), (13, 4),
+}
+
+
+def test_every_field_up_to_the_table_limit_has_tables():
+    non_primitive = set()
+    for q in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while q**m <= _LOG_TABLE_LIMIT:
+            F = ext_field_new(q, m)
+            n = F.order - 1
+            assert sorted(F._exp) == list(range(1, F.order))
+            g = F._exp[1 % n]
+            for i in range(0, n, max(1, n // 97)):
+                assert F._log[F._exp[i]] == i
+                assert F._exp[(i + 1) % n] == _mul_by_polynomials(F, F._exp[i], g)
+            if F.is_primitive:
+                assert g == F.generator
+            else:
+                non_primitive.add((q, m))
+                # the first generator in encoding order
+                assert not any(F._generates(h) for h in range(1, g))
+            m += 1
+        assert ext_field_new(q, m)._log is None  # above the limit
+    assert non_primitive == _NON_PRIMITIVE_DEFAULTS
+
+
+def test_table_walk_on_a_dense_generator():
+    # Walking the last generator of GF(13^4) packs columns with large
+    # coefficients, so its slots exceed 2^8 on the way.
+    F = ext_field_new(13, 4)
+    g = next(h for h in range(F.order - 1, 0, -1) if F._generates(h))
+    F._build_tables(g)
+    assert F._exp[1] == g and sorted(F._exp) == list(range(1, F.order))
+    n = F.order - 1
+    for i in range(0, n, 97):
+        assert F._exp[(i + 1) % n] == _mul_by_polynomials(F, F._exp[i], g)
+
+
+_NON_PRIMITIVE_FIELDS = {
+    "GF(2^8)": lambda: ext_field_new(2, 8),
+    "GF(3^2)": lambda: ext_field_new(3, 2),
+    "GF(5^2)": lambda: ext_field_new(5, 2),
+    "GF(2^4) on x^4+x^3+x^2+x+1": lambda: ExtField(2, 4, (1, 1, 1, 1, 1)),
+    "GF(3^7)": lambda: ext_field_new(3, 7),
+    "GF(13^3)": lambda: ext_field_new(13, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_PRIMITIVE_FIELDS))
+def test_non_primitive_fields_match_the_oracles(name):
+    # tables on another generator than x: every operation against the
+    # polynomial and coefficient routes, exhaustive up to order 256
+    F = _NON_PRIMITIVE_FIELDS[name]()
+    assert not F.is_primitive and F._log is not None
+    q = F.q
+    if F.order <= 256:
+        pairs = [(x, y) for x in range(F.order) for y in range(F.order)]
+    else:
+        rng = random.Random(F.order)
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
+    for x, y in pairs:
+        assert F.mul(x, y) == _mul_by_polynomials(F, x, y)
+        assert F.add(x, y) == F.encode(poly_add(F.coeffs(x), F.coeffs(y), q))
+        assert F.sub(x, y) == F.encode(a - b for a, b in zip(F.coeffs(x), F.coeffs(y)))
+        if y:
+            assert _mul_by_polynomials(F, y, F.inv(y)) == 1
+    # a non-primitive modulus prints integer encodings, and they parse back
+    for x in {x for pair in pairs for x in pair}:
+        text = F.format_element(x)
+        assert text == str(x) and F.parse_element(text) == x
 
 
 def test_non_primitive_modulus_still_works():
     F = ExtField(2, 4, (1, 1, 1, 1, 1))
-    assert not F.is_primitive
+    assert not F.is_primitive and F._log is not None
     assert F.pow(F.generator, 5) == F.one
     for x in range(1, 16):
         assert F.mul(x, F.inv(x)) == F.one
-    # no log table, so nonzero elements print as plain encodings
+    # "a^k" would mean a power of x, which does not reach 7: plain encodings
     assert F.format_element(7) == "7"
+    assert F.parse_element("a^2") == 4
 
 
 def test_degree_one_extension_wraps_the_prime_field():
+    # GF(q^1) on any modulus x - c is the integers mod q; it prints
+    # residues unless c is a primitive root, whose powers "a^k" parse back
     for q in (2, 3, 5):
-        F = ext_field_new(q, 1)
-        B = BaseField(q)
-        for x in range(q):
-            for y in range(q):
-                assert F.mul(x, y) == B.mul(x, y)
-                assert F.add(x, y) == B.add(x, y)
+        for c in range(q):
+            F = ExtField(q, 1, ((-c) % q, 1))
+            assert F.generator == c and F._log is not None
+            for x in range(q):
+                for y in range(q):
+                    assert F.mul(x, y) == (x * y) % q
+                    assert F.add(x, y) == (x + y) % q
+                    assert F.sub(x, y) == (x - y) % q
+                assert F.parse_element(F.format_element(x)) == x
+                if not F.is_primitive:
+                    assert F.format_element(x) == str(x)
 
 
 def test_format_parse_round_trip():

@@ -263,8 +263,10 @@ def test_search_matches_the_rank_table_route(case):
 
 def test_search_guards():
     G1, G2 = pair16()
-    with pytest.raises(BudgetError):
-        search_x(G1, G2, limit=8)
+    F32 = ext_field_new(2, 5)
+    c = F32.generator
+    with pytest.raises(BudgetError):  # 32^3 candidates, past the 2^14 budget
+        search_x(Matrix(F32, [(1, c)]), Matrix(F32, [tuple(F32.pow(c, i) for i in range(4))]))
     with pytest.raises(InputError):
         search_x(G1, Matrix(F16, [(1,)]))  # k2 = n2 leaves no free part
     F4 = ext_field_new(2, 2)

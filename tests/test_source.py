@@ -187,3 +187,19 @@ def test_representation_reads_the_projective_line_once():
                if isinstance(scope, ast.FunctionDef) and not name.rpartition(".")[2].startswith("_")
                and "q" in {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}]
     assert takes_q == []
+
+
+def test_a_fields_order_picks_its_arithmetic():
+    # GF(q^1) is the one prime field, and whether the modulus is primitive
+    # decides how elements print, not whether the field has log tables
+    tree = ast.parse((SRC / "gf.py").read_text())
+    fields = [node.name for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name.endswith("Field")]
+    assert fields == ["ExtField"]
+    for node in ast.walk(_defined("gf.py", "ExtField.__init__")):
+        if isinstance(node, ast.If) and any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_build_tables"
+                                            for n in ast.walk(node)):
+            assert "is_primitive" not in {getattr(n, "attr", None) for n in ast.walk(node.test)}
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "representation.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "gf" for alias in node.names}
+    assert {name for name in imported if name.endswith("Field")} == {"ExtField"}
