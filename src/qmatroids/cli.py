@@ -310,7 +310,7 @@ def _cmd_evasive_check(args):
 def _cmd_search_x(args):
     G1 = _load_matrix(args.matrix, args.modulus)
     G2 = _load_matrix(args.matrix2, args.modulus)
-    hits = search_x(G1, G2, workers=args.workers)
+    hits = search_x(G1, G2)
     searched = coupling_search_size(G1, G2)
     report = {
         "count": len(hits),
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = option("--format", choices=("json", "text"), default="text")
     modulus = option("--modulus", default=None,
                      help="field modulus coefficients, low degree first, e.g. 1,1,0,0,1")
-    workers = option("--workers", type=int, default=1, help="search processes")
     budget = option("--budget", choices=("default", "vamos"), default="default")
 
     parser = argparse.ArgumentParser(
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("evasive-check", modulus, matrix="matrix document")
     p.add_argument("--k1", type=int, required=True, help="distinguished block dimension")
     p.add_argument("--h", dest="bound", type=int, required=True, help="intersection bound")
-    verb("search-x", modulus, workers, matrix="left matrix document",
+    verb("search-x", modulus, matrix="left matrix document",
          matrix2="right matrix document")
     p = verb("verify-free-product-rep", modulus, matrix="matrix document")
     p.add_argument("--n1", type=int, required=True, help="ground split position")

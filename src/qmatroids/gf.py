@@ -6,7 +6,7 @@ q = 2 the encoding coincides with the usual bit-packing of a binary
 polynomial.  The prime field is GF(q^1), whose elements are the
 residues 0..q-1.  Field handles are immutable and every operation is a
 pure function, so handles and elements can be shared freely across
-threads and worker processes.
+threads.
 
 Only desk-scale fields are supported: q must be a prime at most 13 and
 q^m may not exceed 2^20.  A field's order alone picks its arithmetic:
@@ -295,11 +295,6 @@ class ExtField:
                                  for s in (v - v % q + (v + 1) % q for v in self._exp)]
         k = zech[(j - i) % n]
         return 0 if k is None else self._exp[(i + k) % n]
-
-    def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        return self.encode(-x for x in self.coeffs(a))
 
     def smul(self, c: int, a: int) -> int:
         """Scalar multiple by c in the prime subfield."""

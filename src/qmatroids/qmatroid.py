@@ -209,12 +209,6 @@ class QMatroid:
         least = min(terms)
         return [z for (z, _), t in zip(self.certificates(), terms) if t == least]
 
-    def rank_lack(self, a: Subspace) -> int:
-        return self.rank(self.E) - self.rank(a)
-
-    def nullity(self, a: Subspace) -> int:
-        return a.dim - self.rank(a)
-
     def is_independent(self, a: Subspace) -> bool:
         """Certificate route when available: dim(I meet Z) <= f(Z) for all Z."""
         # Intersections, not the element masks of rank(): tests and the

@@ -16,16 +16,13 @@ bases alone.  The base field F_q is always the prime field of G's field.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructions import free_product
 from .errors import BudgetError, InputError, InvariantError
 from .gf import ExtField, Matrix, matrix_rank, span_rank
 from .qmatroid import QMatroid
-from .subspace import Subspace, enumerate_subspaces, intersect_subspaces, vector_index
+from .subspace import Subspace, enumerate_subspaces, vector_index
 
 # Candidate coupling blocks tried by search_x.  The largest worked case,
 # one free row over GF(2^7) with two unknown entries, sits exactly at
@@ -38,16 +35,6 @@ PROFILE_VECTOR_LIMIT = 1 << 16
 
 def _columns(G: Matrix) -> list[tuple[int, ...]]:
     return [tuple(r[j] for r in G.rows) for j in range(G.ncols)]
-
-
-def _combine(field, cols: Sequence[tuple[int, ...]], coeffs: Sequence[int]):
-    """The system vector with the given prime-field coordinates."""
-    k = len(cols[0]) if cols else 0
-    acc = [field.zero] * k
-    for c, col in zip(coeffs, cols):
-        if c:
-            acc = [field.add(a, field.smul(c, x)) for a, x in zip(acc, col)]
-    return tuple(acc)
 
 
 def _image_table(field, cols: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -112,10 +99,6 @@ class QSystem:
         f = self.field
         return f"QSystem(GF({f.q}^{f.m}), k={self.k}, n={self.n})"
 
-    def image(self, coeffs: Sequence[int]):
-        """The system vector with the given F_q-coordinates."""
-        return _combine(self.field, self.generators, coeffs)
-
 
 def qmatroid_from_matrix(G: Matrix) -> QMatroid:
     """The q-matroid on F_q^n whose rank of U is the field rank of G * A^U.
@@ -135,27 +118,6 @@ def qmatroid_from_matrix(G: Matrix) -> QMatroid:
     images = _image_table(field, _columns(G))
     table.update((s, span_rank(field, [images[vector_index(q, n, v)] for v in s.rows]))
                  for s in subspaces)
-    return QMatroid.from_rank_table(q, n, table)
-
-
-def system_rank(system: QSystem, space: Subspace) -> int:
-    """Span dimension of the system vectors indexed by a whole subspace.
-
-    Streams every vector of the subspace rather than just a basis, so it
-    is an independent cross-check of the matrix route.
-    """
-    if space.q != system.q or space.n != system.n:
-        raise InputError("subspace ambient does not match the system")
-    from .subspace import unpack_vector
-
-    vecs = (system.image(unpack_vector(space.q, space.n, v)) for v in space.elements())
-    return span_rank(system.field, vecs)
-
-
-def qmatroid_from_system(system: QSystem) -> QMatroid:
-    """The same q-matroid as qmatroid_from_matrix, by the vector-span route."""
-    q, n = system.q, system.n
-    table = {s: system_rank(system, s) for s in enumerate_subspaces(q, n)}
     return QMatroid.from_rank_table(q, n, table)
 
 
@@ -298,49 +260,8 @@ def verify_free_product_rep(G: Matrix, n1: int, k1: int) -> bool:
     return dict(m.cyclic_flats().pairs) == _free_product_flats(G.field.q, n, n1, k1, k)
 
 
-def _search_candidates(order: int, size: int, count: int, leads: range | None = None):
-    """Coupling blocks as flat tuples of `size` entries, lexicographic in encoding.
-
-    They are the first `count` of all order**size blocks, which are the
-    blocks whose pinned entries are zero (see coupling_search_size).
-    `leads`, a range of values of the first free entry, selects
-    count // order blocks per value, which is how the space splits
-    across workers.
-    """
-    step = count // order
-    if leads is None:
-        leads = range(order)
-    blocks = itertools.product(range(order), repeat=size)
-    return itertools.islice(blocks, leads.start * step, leads.stop * step)
-
-
 def _as_block(field, entries, k1: int, n2: int) -> Matrix:
     return Matrix(field, [entries[i * n2:(i + 1) * n2] for i in range(k1)])
-
-
-def _scan_chunk(args):
-    """One worker's share of the coupling search: test every target basis.
-
-    `bases` lists each basis of the target as the vector_index of its
-    rows.  A candidate passes when every basis keeps full rank k under
-    its image table.
-    """
-    (q, mdeg, modulus, g1rows, g2rows, bases, leads) = args
-    field = ExtField(q, mdeg, modulus)
-    G1 = Matrix(field, g1rows)
-    G2 = Matrix(field, g2rows)
-    k1, k2, n2 = G1.nrows, G2.nrows, G2.ncols
-    k = k1 + k2
-    left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
-    g2cols = _columns(G2)
-    hits = []
-    for entries in _search_candidates(field.order, k1 * n2, coupling_search_size(G1, G2), leads=leads):
-        cols = left + [tuple(entries[i * n2 + j] for i in range(k1)) + g2cols[j]
-                       for j in range(n2)]
-        table = _image_table(field, cols)
-        if all(span_rank(field, [table[i] for i in basis]) == k for basis in bases):
-            hits.append(entries)
-    return hits
 
 
 def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
@@ -362,28 +283,23 @@ def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     return G1.field.order**free
 
 
-def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1) -> list[Matrix]:
+def search_x(G1: Matrix, G2: Matrix) -> list[Matrix]:
     """All coupling blocks X making (G1 X; 0 G2) represent a uniform free product.
 
     The q-matroids live over the prime field of the matrices' field.
     Exhaustive over the whole entry space (first entry normalized to
     zero when G1 has one row), in lexicographic order of the entry
-    encodings.  A q-matroid is determined by its bases, so a candidate
-    passes when every basis of the free-product target, a k-space B
-    with target rank k, keeps rank k under the candidate.  The target's
-    other k-spaces meet the seam F_q^{n1} + 0 in more than k1
-    dimensions, and G has rank k1 on the seam, so they have rank below
-    k under every candidate: passing means having exactly the target's
-    bases.  The target's flats are scanned once per call against the
-    cyclic-flat profile of verify_free_product_rep, and the first hit is
-    re-verified literally.  The candidates are split over at most
-    `workers` processes, and never more than os.cpu_count(); the hits
-    come out in the same order for every worker count.
+    encodings.  The target is the q-matroid with the cyclic flats of
+    _free_product_flats, the profile verify_free_product_rep tests for,
+    and its bases are its k-spaces of rank k.  A q-matroid is determined
+    by its bases, so a candidate passes when every target basis keeps
+    rank k under the candidate's image table.  The target's other
+    k-spaces meet the seam F_q^{n1} + 0 in more than k1 dimensions, and
+    G has rank k1 on the seam, so they have rank below k under every
+    candidate: passing means having exactly the target's bases.  The
+    first hit is re-verified literally.
     """
-    if G1.field != G2.field:
-        raise InputError("both factors must be represented over one field")
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
+    count = coupling_search_size(G1, G2)
     field = G1.field
     q = field.q
     k1, n1 = G1.nrows, G1.ncols
@@ -392,38 +308,23 @@ def search_x(G1: Matrix, G2: Matrix, *, workers: int = 1) -> list[Matrix]:
         raise InputError("factor matrices must have full row rank")
     if not (k1 < n1 and k2 < n2):
         raise InputError("a uniform free product with this cyclic-flat profile needs k_i < n_i on both sides")
-    count = coupling_search_size(G1, G2)
     if count > SEARCH_X_LIMIT:
         raise BudgetError(f"search space has {count} candidates, over the budget {SEARCH_X_LIMIT}")
     n, k = n1 + n2, k1 + k2
-    # Scan-route anchor: the target's cyclic flats must be the exact
-    # profile the literal verifier tests for.  Given that, having the
-    # target's bases decides membership.
-    target = free_product(QMatroid.uniform(q, n1, k1), QMatroid.uniform(q, n2, k2))
-    ranks = {s: target.rank(s) for s in enumerate_subspaces(q, n)}
-    anchor = QMatroid.from_rank_table(q, n, ranks)
-    seam = _split_seam(q, n, n1)
-    if dict(anchor.cyclic_flats().pairs) != _free_product_flats(q, n, n1, k1, k):
-        raise InvariantError("target's cyclic flats are not the uniform free-product profile")
-    bases = []
-    for s, r in ranks.items():
-        if s.dim != k:
-            continue
-        if r == k:
-            bases.append(tuple(vector_index(q, n, v) for v in s.rows))
-        elif intersect_subspaces(s, seam).dim <= k1:
-            raise InvariantError("a target non-basis meets the seam in at most k1 dimensions")
-    task = (q, field.m, field.modulus, G1.rows, G2.rows, bases)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        # contiguous lead ranges, one task per worker
-        step = -(-field.order // workers)
-        parts = [range(lo, min(lo + step, field.order)) for lo in range(0, field.order, step)]
-        with multiprocessing.Pool(len(parts)) as pool:
-            chunks = pool.map(_scan_chunk, [task + (part,) for part in parts])
-        hits = sorted(e for chunk in chunks for e in chunk)
-    else:
-        hits = _scan_chunk(task + (None,))
+    target = QMatroid.from_cyclic_flats(q, n, _free_product_flats(q, n, n1, k1, k).items())
+    bases = [tuple(vector_index(q, n, v) for v in s.rows)
+             for s in enumerate_subspaces(q, n, [k]) if target.rank(s) == k]
+    left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
+    g2cols = _columns(G2)
+    hits = []
+    # the first `count` blocks in encoding order are those whose pinned
+    # entry is zero (see coupling_search_size)
+    for entries in itertools.islice(itertools.product(range(field.order), repeat=k1 * n2), count):
+        cols = left + [tuple(entries[i * n2 + j] for i in range(k1)) + g2cols[j]
+                       for j in range(n2)]
+        table = _image_table(field, cols)
+        if all(span_rank(field, [table[i] for i in basis]) == k for basis in bases):
+            hits.append(entries)
     if hits:
         first = _as_block(field, hits[0], k1, n2)
         if not verify_free_product_rep(block_rep(G1, G2, first), n1, k1):

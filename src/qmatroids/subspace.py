@@ -6,11 +6,7 @@ space was presented.  All objects here are immutable values, safe to
 share between threads; the only mutation anywhere is idempotent
 caching: a subspace's element mask, per field and dimension the zero
 vector, the unit vectors and the hyperplane functionals, and the small
-lattices below.  A Subspace does not unpickle, because unpickling sets
-its slots through the blocking __setattr__, so it cannot cross to a
-worker process: a process pool exchanges plain rows of field elements
-or coefficients, as the coupling search does, and rebuilds subspaces on
-its own side.
+lattices below.
 
 Vectors have two packed formats.  For q = 2 a vector is a machine
 integer with bit i holding coordinate i (the pivot of a row is its
@@ -246,10 +242,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def codim(self) -> int:
-        return self.n - len(self.rows)
 
     def __eq__(self, other):
         return (

@@ -27,7 +27,10 @@ as the rank table r(X) - r(sub) on every subspace of the quotient.
 `search_x_by_rank_table` is the coupling search by whole rank tables:
 a candidate passes when its rank on every nonzero subspace equals the
 free-product target's.  `linear_set_profile_by_stream` profiles a linear
-set by combining the generators afresh for every coefficient vector.
+set by combining the generators afresh for every coefficient vector
+(`system_image`).  `system_rank` ranks a subspace by the images of all
+its vectors, not a basis, and `qmatroid_from_system` is the q-matroid of
+a system by that route, a cross-check of `qmatroid_from_matrix`.
 `is_evasive_by_hyperplanes` decides evasivity by one functional per
 hyperplane of F_{q^m}^k, for any k.
 
@@ -53,7 +56,7 @@ from qmatroids.qmatroid import (
     _rank_table,
     rank_from_independents,
 )
-from qmatroids.representation import LinearSetProfile, _combine
+from qmatroids.representation import LinearSetProfile
 from qmatroids.subspace import (
     MASK_AMBIENT_LIMIT,
     QuotientMap,
@@ -68,6 +71,7 @@ from qmatroids.subspace import (
     require_materialize_budget,
     subspaces_of,
     sum_subspaces,
+    unpack_vector,
     vector_index,
 )
 
@@ -299,6 +303,36 @@ def minor_by_rank_table(m, sub, sup):
     return QMatroid(m.q, qm.dim, table=table)
 
 
+def _combine(field, cols, coeffs):
+    """The system vector with the given prime-field coordinates."""
+    k = len(cols[0]) if cols else 0
+    acc = [field.zero] * k
+    for c, col in zip(coeffs, cols):
+        if c:
+            acc = [field.add(a, field.smul(c, x)) for a, x in zip(acc, col)]
+    return tuple(acc)
+
+
+def system_image(system, coeffs):
+    """The system vector with the given F_q-coordinates."""
+    return _combine(system.field, system.generators, coeffs)
+
+
+def system_rank(system, space):
+    """Span dimension of the system vectors indexed by a whole subspace."""
+    if space.q != system.q or space.n != system.n:
+        raise InputError("subspace ambient does not match the system")
+    vecs = (system_image(system, unpack_vector(space.q, space.n, v)) for v in space.elements())
+    return span_rank(system.field, vecs)
+
+
+def qmatroid_from_system(system):
+    """The q-matroid of a system, one system_rank per subspace."""
+    q, n = system.q, system.n
+    table = {s: system_rank(system, s) for s in enumerate_subspaces(q, n)}
+    return QMatroid.from_rank_table(q, n, table)
+
+
 def _rank_matches(field, cols, rows, want: int, k: int) -> bool:
     """Whether the images of `rows` span dimension exactly `want`.
 
@@ -357,7 +391,7 @@ def linear_set_profile_by_stream(system):
     for coeffs in itertools.product(range(q), repeat=system.n):
         if not any(coeffs):
             continue
-        y0, y1 = system.image(coeffs)
+        y0, y1 = system_image(system, coeffs)
         pt = (1, field.mul(field.inv(y0), y1)) if y0 else (0, 1)
         counts[pt] = counts.get(pt, 0) + 1
     points = []

@@ -248,7 +248,7 @@ def test_acceptance_10_vamos_is_irreducible(acceptance, capsys, tmp_path):
     assert pinchpoints(v) == closure_pinchpoints(v)
     assert irreducibility_verdict(v) == (True, None)
     doc = write(tmp_path, "vamos.json", {"builtin": "vamos"})
-    # only search-x takes --workers; the scan is the rank walk on one process
+    # the scan is the rank walk on one process, with no workers to set
     code, rep = run_json(capsys, ["irreducible", doc, "--budget", "vamos"])
     assert code == 0 and rep["irreducible"] and rep["scanned"]
     dt = time.perf_counter() - t0

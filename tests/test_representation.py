@@ -14,7 +14,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import is_evasive_by_hyperplanes, linear_set_profile_by_stream, search_x_by_rank_table
+from oracles import (
+    is_evasive_by_hyperplanes,
+    linear_set_profile_by_stream,
+    qmatroid_from_system,
+    search_x_by_rank_table,
+    system_image,
+    system_rank,
+)
 
 from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import BudgetError, InputError
@@ -22,6 +29,7 @@ from qmatroids.gf import Matrix, ext_field_new
 from qmatroids.qmatroid import QMatroid, rank_tables_equal
 from qmatroids.representation import (
     QSystem,
+    _free_product_flats,
     _image_table,
     block_rep,
     coupling_search_size,
@@ -29,12 +37,10 @@ from qmatroids.representation import (
     is_i_club,
     linear_set_profile,
     qmatroid_from_matrix,
-    qmatroid_from_system,
     search_x,
-    system_rank,
     verify_free_product_rep,
 )
-from qmatroids.subspace import Subspace, enumerate_subspaces, pack_vector, vector_index
+from qmatroids.subspace import Subspace, enumerate_subspaces, intersect_subspaces, pack_vector, vector_index
 
 F16 = ext_field_new(2, 4)
 A = F16.generator
@@ -201,42 +207,26 @@ def test_club_condition_tracks_verification_on_every_candidate():
         assert verified == (is_i_club(QSystem.from_matrix(G)) == 2)
 
 
-def test_search_parallel_matches_serial():
-    G1, G2 = pair16()
-    serial = search_x(G1, G2)
-    parallel = search_x(G1, G2, workers=2)
-    assert [h.rows for h in serial] == [h.rows for h in parallel]
+def _uniform_pairs():
+    """(q, n1, k1, n2, k2) for every proper uniform pair with 2 <= n1, n2 <= 3
+    over F_2, and with n1 = n2 = 2 over F_3."""
+    shapes = [(2, n1, n2) for n1 in (2, 3) for n2 in (2, 3)] + [(3, 2, 2)]
+    return [(q, n1, k1, n2, k2) for q, n1, n2 in shapes
+            for k1 in range(1, n1) for k2 in range(1, n2)]
 
 
-def test_search_pool_is_bounded_by_the_cpus(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, maps in process."""
-
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    G1, G2 = pair16()
-    serial = [h.rows for h in search_x(G1, G2)]
-    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
-    for cpus, asked, size in ((3, 64, 3), (8, 2, 2), (None, 64, None), (1, 4, None)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        assert [h.rows for h in search_x(G1, G2, workers=asked)] == serial
-        assert sizes == ([] if size is None else [size])
-    for bad in (0, -1):
-        with pytest.raises(InputError):
-            search_x(G1, G2, workers=bad)
+@pytest.mark.parametrize("q, n1, k1, n2, k2", _uniform_pairs())
+def test_free_product_target_has_the_stated_profile(q, n1, k1, n2, k2):
+    # search_x builds its target from _free_product_flats; the formula
+    # sweep must agree, and the target's k-spaces of rank k are exactly
+    # those meeting the seam in at most k1 dimensions
+    n, k = n1 + n2, k1 + k2
+    product = free_product(QMatroid.uniform(q, n1, k1), QMatroid.uniform(q, n2, k2))
+    flats = _free_product_flats(q, n, n1, k1, k)
+    assert list(product.certificates()) == sorted(flats.items(), key=lambda p: p[0].sort_key())
+    seam = next(z for z, r in flats.items() if r == k1)
+    for s in enumerate_subspaces(q, n, [k]):
+        assert (product.rank(s) == k) == (intersect_subspaces(s, seam).dim <= k1), s
 
 
 def _search_pairs():
@@ -296,7 +286,7 @@ def test_image_table_matches_system_images(q, m):
             for i, image in enumerate(table):
                 coeffs = [(i // q**j) % q for j in range(n)]
                 assert vector_index(q, n, pack_vector(q, n, coeffs)) == i
-                assert image == S.image(coeffs)
+                assert image == system_image(S, coeffs)
 
 
 def test_profile_matches_the_streaming_route():

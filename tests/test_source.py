@@ -6,6 +6,7 @@ from pathlib import Path
 
 import qmatroids
 from qmatroids.factorization import vamos_cyclic_flats_scan
+from qmatroids.representation import search_x
 
 SRC = Path(qmatroids.__file__).parent
 
@@ -47,22 +48,37 @@ def test_independence_check_runs_the_rank_walk():
     assert "_rank_walk" in called
 
 
-def test_one_module_starts_processes():
-    # the coupling search keeps the one process pool; the Vámos scan is
-    # the rank walk on one process and has no workers to set
-    importers = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "multiprocessing" for name in names):
-                importers.add(path.name)
-    assert importers == {"representation.py"}
+def _imported(path):
+    """The top-level names of the modules a module of src imports, with
+    "." for the package's own modules."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / path).read_text(), filename=path)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." + (node.module or "") if node.level else (node.module or "").split(".")[0])
+    return names
+
+
+def test_no_module_starts_processes():
+    # the coupling search and the Vámos scan each run on one process and
+    # have no workers to set
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "multiprocessing" in _imported(path.name)] == []
     assert "workers" not in inspect.signature(vamos_cyclic_flats_scan).parameters
+    assert "workers" not in inspect.signature(search_x).parameters
+
+
+def test_search_reads_the_targets_flats():
+    # the target of the coupling search is built from the cyclic flats
+    # the verifier tests for; the formula sweep and a rank table of the
+    # free product are the test oracles
+    assert not _imported("representation.py") & {"multiprocessing", ".constructions"}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(_defined("representation.py", "search_x"))
+              if isinstance(node, ast.Call)}
+    assert "_free_product_flats" in called
+    assert not called & {"free_product", "from_rank_table"}
 
 
 def _compares_q_with_2(node):
