@@ -4,7 +4,8 @@ Each verb maps onto one library operation.  Inputs are JSON documents;
 reports go to standard output (JSON or plain text), progress chatter to
 standard error.  Exit codes: 0 for success or a true verdict, 1 for a
 false verdict, 2 for input errors, 3 for exhausted budgets, 4 for a
-failed internal consistency check (a bug, reported on standard error).
+failed internal consistency check or any other internal fault (a bug,
+reported on standard error).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 from .constructions import direct_sum, free_product, weak_compare_identity
 from .errors import BudgetError, InputError, InvariantError
@@ -80,26 +82,19 @@ def _load_subspace(path: str, m: QMatroid) -> Subspace:
     return s
 
 
-def _parse_modulus(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in text.replace(",", " ").split())
-    except ValueError:
-        raise InputError(f"cannot parse modulus coefficients from {text!r}") from None
-
-
-def _load_matrix(path: str, modulus: str | None) -> Matrix:
+def _load_matrix(path: str) -> Matrix:
     doc = _read_json(path)
     try:
         fdoc = doc["field"]
         q, m = json_int(fdoc["q"], "q", "matrix"), json_int(fdoc["m"], "m", "matrix")
         rows, coeffs = doc["rows"], fdoc.get("modulus")
-        if coeffs is not None and not modulus:
-            coeffs = [json_int(c, "modulus", "matrix") for c in coeffs]
+        if coeffs is not None:
+            coeffs = tuple(coeffs)  # ExtField checks each coefficient
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed matrix document {path}: {e}") from None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError(f"malformed matrix document {path}: 'rows' must be a list of lists")
-    field = ext_field_new(q, m, _parse_modulus(modulus) if modulus else coeffs)
+    field = ext_field_new(q, m, coeffs)
     return Matrix(field, [[field.parse_element(x) for x in row] for row in rows])
 
 
@@ -284,12 +279,12 @@ def _cmd_irreducible(args):
 
 
 def _cmd_from_matrix(args):
-    m = qmatroid_from_matrix(_load_matrix(args.matrix, args.modulus))
+    m = qmatroid_from_matrix(_load_matrix(args.matrix))
     return _matroid_report(m), _matroid_text(m), 0
 
 
 def _cmd_club_check(args):
-    system = QSystem.from_matrix(_load_matrix(args.matrix, args.modulus))
+    system = QSystem.from_matrix(_load_matrix(args.matrix))
     profile = linear_set_profile(system)
     club = profile.club_index()
     report = {"club": club, "rank": profile.rank, "profile": profile.to_dict()}
@@ -301,15 +296,15 @@ def _cmd_club_check(args):
 
 
 def _cmd_evasive_check(args):
-    system = QSystem.from_matrix(_load_matrix(args.matrix, args.modulus))
+    system = QSystem.from_matrix(_load_matrix(args.matrix))
     ok = is_evasive(system, args.k1, args.bound)
     report = {"evasive": ok, "k1": args.k1, "h": args.bound}
     return report, ("evasive" if ok else "not evasive"), 0 if ok else 1
 
 
 def _cmd_search_x(args):
-    G1 = _load_matrix(args.matrix, args.modulus)
-    G2 = _load_matrix(args.matrix2, args.modulus)
+    G1 = _load_matrix(args.matrix)
+    G2 = _load_matrix(args.matrix2)
     hits = search_x(G1, G2)
     searched = coupling_search_size(G1, G2)
     report = {
@@ -324,7 +319,7 @@ def _cmd_search_x(args):
 
 
 def _cmd_verify_free_product_rep(args):
-    G = _load_matrix(args.matrix, args.modulus)
+    G = _load_matrix(args.matrix)
     ok = verify_free_product_rep(G, args.n1, args.k1)
     return {"verified": ok, "n1": args.n1, "k1": args.k1}, str(ok).lower(), 0 if ok else 1
 
@@ -378,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --format goes to every verb; each other option only to the verbs that read it
     fmt = option("--format", choices=("json", "text"), default="text")
-    modulus = option("--modulus", default=None,
-                     help="field modulus coefficients, low degree first, e.g. 1,1,0,0,1")
     budget = option("--budget", choices=("default", "vamos"), default="default")
 
     parser = argparse.ArgumentParser(
@@ -406,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     verb("weak-compare", doc="first q-matroid", doc2="second q-matroid")
     verb("factorize", doc="q-matroid document")
     verb("irreducible", budget, doc="q-matroid document")
-    verb("from-matrix", modulus, matrix="matrix document")
-    verb("club-check", modulus, matrix="matrix document")
-    p = verb("evasive-check", modulus, matrix="matrix document")
+    verb("from-matrix", matrix="matrix document")
+    verb("club-check", matrix="matrix document")
+    p = verb("evasive-check", matrix="matrix document")
     p.add_argument("--k1", type=int, required=True, help="distinguished block dimension")
     p.add_argument("--h", dest="bound", type=int, required=True, help="intersection bound")
-    verb("search-x", modulus, matrix="left matrix document",
+    verb("search-x", matrix="left matrix document",
          matrix2="right matrix document")
-    p = verb("verify-free-product-rep", modulus, matrix="matrix document")
+    p = verb("verify-free-product-rep", matrix="matrix document")
     p.add_argument("--n1", type=int, required=True, help="ground split position")
     p.add_argument("--k1", type=int, required=True, help="left factor rank")
     p = verb("enumerate")
@@ -434,6 +427,10 @@ def main(argv=None) -> int:
         return 3
     except InvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:  # a fault, never a false verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
         return 4
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -7,11 +7,11 @@ family exactly when the left factor has no coloops and the right factor
 has no loops.  Ranks stack: a lifted flat carries r1(E1) plus its own
 value.
 
-Three independent routes to the same construction are kept side by
-side: the certificate stacking (the default), the closed rank formula
-on slices, and the literal independence predicate.  New builds are
-cross-validated against the rank formula whenever the ambient lattice
-is small enough to sweep.
+Two routes to the same construction are kept side by side: the
+certificate stacking (the default) and the closed rank formula on
+slices.  The literal independence predicate is a test oracle.  New
+builds are cross-validated against the rank formula whenever the
+ambient lattice is small enough to sweep.
 
 The direct sum is also certificate-first (pairwise sums of cyclic
 flats, ranks adding), with a definitional minimization kept as a
@@ -102,28 +102,6 @@ def free_product_by_formula(m1: QMatroid, m2: QMatroid) -> QMatroid:
     return QMatroid.from_rank_table(
         m1.q, ctx.n, lambda x: free_product_rank(m1, m2, x)
     )
-
-
-def is_free_product_independent(m1: QMatroid, m2: QMatroid, i: Subspace) -> bool:
-    """The literal membership predicate for the free product's independents:
-    the part of i inside the left block is independent in m1, and the
-    rank m1 still has to spare covers the nullity of i's projection to
-    the right block."""
-    ctx = _split_context(m1, m2)
-    left, right = ctx.slice(i)
-    if not m1.is_independent(left):
-        return False
-    lack = m1.rank(m1.E) - m1.rank(left)
-    return lack >= right.dim - m2.rank(right)
-
-
-def free_product_independents(m1: QMatroid, m2: QMatroid) -> set[Subspace]:
-    ctx = _split_context(m1, m2)
-    return {
-        i
-        for i in enumerate_subspaces(m1.q, ctx.n)
-        if is_free_product_independent(m1, m2, i)
-    }
 
 
 def free_product_chain(ms) -> QMatroid:

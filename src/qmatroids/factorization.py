@@ -26,7 +26,6 @@ from .constructions import free_product_chain, weak_compare_identity
 from .qmatroid import QMatroid, _rank_walk, transport
 from .subspace import (
     Subspace,
-    enumerate_subspaces,
     intersect_subspaces,
     sum_subspaces,
     unpack_vector,
@@ -38,13 +37,6 @@ def is_free_separator(m: QMatroid, a: Subspace) -> bool:
     if (a.q, a.n) != (m.q, m.n):
         raise InputError("separator candidate lives in the wrong ambient")
     return all(a.contains(z) or z.contains(a) for z, _ in m.certificates())
-
-
-def free_separators(m: QMatroid):
-    """All free separators, streamed in dimension order (budgeted)."""
-    for a in enumerate_subspaces(m.q, m.n):
-        if is_free_separator(m, a):
-            yield a
 
 
 def pinchpoints(m: QMatroid) -> list[Subspace]:

@@ -11,8 +11,10 @@ threads.
 Only desk-scale fields are supported: q must be a prime at most 13 and
 q^m may not exceed 2^20.  A field's order alone picks its arithmetic:
 log tables up to 2^16, whatever the modulus, and polynomials above.
-Matrices are dense tuples of tuples, and the only linear algebra on
-them is their rank (`span_rank`).
+`ExtField` is the one check of a modulus, and trial division
+(`smallest_factor`) the one irreducibility test.  Matrices are dense
+tuples of tuples, and the only linear algebra on them is their rank
+(`span_rank`).
 """
 
 from __future__ import annotations
@@ -76,20 +78,6 @@ def poly_deg(a: tuple[int, ...]) -> int:
     return len(a) - 1
 
 
-def poly_add(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim([(x + y) % q for x, y in zip(a, b)])
-
-
-def poly_sub(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim([(x - y) % q for x, y in zip(a, b)])
-
-
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -123,26 +111,6 @@ def poly_mod(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     return poly_divmod(a, b, q)[1]
 
 
-def poly_gcd(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    while b:
-        a, b = b, poly_mod(a, b, q)
-    if a:
-        inv = pow(a[-1], q - 2, q)
-        a = _trim([(c * inv) % q for c in a])
-    return a
-
-
-def poly_pow_mod(a, e: int, mod, q: int) -> tuple[int, ...]:
-    result = (1,)
-    a = poly_mod(a, mod, q)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, a, q), mod, q)
-        a = poly_mod(poly_mul(a, a, q), mod, q)
-        e >>= 1
-    return result
-
-
 def poly_to_str(c: tuple[int, ...]) -> str:
     if not c:
         return "0"
@@ -159,25 +127,10 @@ def poly_to_str(c: tuple[int, ...]) -> str:
     return "+".join(terms)
 
 
-def is_irreducible(modulus: Sequence[int], q: int) -> bool:
-    """Rabin's test for a monic polynomial over GF(q)."""
-    f = _trim(modulus)
-    m = poly_deg(f)
-    if m < 1 or f[-1] != 1:
-        return False
-    x = (0, 1)
-    if poly_pow_mod(x, q**m, f, q) != poly_mod(x, f, q):
-        return False
-    for p in prime_factors(m):
-        h = poly_sub(poly_pow_mod(x, q ** (m // p), f, q), x, q)
-        h = poly_mod(h, f, q)
-        if poly_deg(poly_gcd(h, f, q)) != 0:
-            return False
-    return True
-
-
 def smallest_factor(modulus: Sequence[int], q: int) -> tuple[int, ...]:
-    """A lowest-degree monic factor of a reducible polynomial, for error text."""
+    """The first monic factor of least degree of a monic f over GF(q), by
+    trial division.  A reducible f of degree m has one of degree at most
+    m/2, so f is irreducible exactly when it is its own smallest factor."""
     f = _trim(modulus)
     m = poly_deg(f)
     for d in range(1, m // 2 + 1):
@@ -189,11 +142,12 @@ def smallest_factor(modulus: Sequence[int], q: int) -> tuple[int, ...]:
 
 
 def find_irreducible(q: int, m: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree m over GF(q)."""
+    """The first monic irreducible of degree m over GF(q), in the order of
+    the encoded tail f - x^m, decided by `smallest_factor`."""
     _check_base_prime(q)
     for tail in range(q**m):
         cand = tuple(tail // q**i % q for i in range(m)) + (1,)
-        if is_irreducible(cand, q):
+        if smallest_factor(cand, q) == cand:
             return cand
     raise InputError(f"no irreducible polynomial of degree {m} over GF({q})")
 
@@ -221,11 +175,13 @@ class ExtField:
         order = q**m
         if order > MAX_EXT_ORDER:
             raise InputError(f"q^m = {order} exceeds the supported bound {MAX_EXT_ORDER}")
+        for c in modulus:
+            if type(c) is not int or not 0 <= c < q:
+                raise InputError(f"modulus coefficient {c!r} is not an integer in 0..{q - 1}")
         mod = _trim(modulus)
         if poly_deg(mod) != m or mod[-1] != 1:
             raise InputError(f"modulus must be monic of degree {m}, got {poly_to_str(mod)}")
-        if not is_irreducible(mod, q):
-            factor = smallest_factor(mod, q)
+        if (factor := smallest_factor(mod, q)) != mod:
             raise InputError(
                 f"modulus {poly_to_str(mod)} is reducible over GF({q}); "
                 f"it is divisible by {poly_to_str(factor)}"
@@ -416,10 +372,10 @@ _DEFAULT_MODULI = {
 
 
 def ext_field_new(q: int, m: int, modulus: Sequence[int] | None = None) -> ExtField:
-    """Build GF(q^m), validating primality, degree and irreducibility."""
+    """GF(q^m) on modulus, else on the pinned default or the first irreducible."""
     if modulus is None:
         modulus = _DEFAULT_MODULI.get((q, m)) or find_irreducible(q, m)
-    return ExtField(q, m, tuple(int(c) for c in modulus))
+    return ExtField(q, m, modulus)
 
 
 # ---------------------------------------------------------------------------

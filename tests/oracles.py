@@ -4,8 +4,13 @@
 cyclic flats, 0 and E under pairwise sums and intersections until
 nothing changes, then keep the members comparable to every member.
 `separator_pinchpoints` walks every free separator of the lattice
-instead and keeps those that equal the sum of the generators below them
-or the intersection of those above.
+(`free_separators`, the whole-lattice stream) instead and keeps those
+that equal the sum of the generators below them or the intersection of
+those above.
+
+`is_free_product_independent` is the literal membership predicate for
+the free product's independent spaces, and `free_product_independents`
+sweeps it over the lattice: the independents route to the free product.
 
 `rank_by_min_formula` is the certificate rank by one sum per cyclic
 flat: r(A) = min f(Z) + dim(A + Z) - dim Z.
@@ -40,15 +45,28 @@ checkers: every pair of subspaces for (R2) and (R3), and every pair of
 independent spaces for (I3), with (I4'') tested against every maximal
 independent space of every subspace.  `is_independence_violation`
 confirms an independence witness from the axiom's statement alone.
+
+`is_irreducible` is Rabin's test for a monic polynomial over GF(q), with
+its helpers `poly_pow_mod`, `poly_gcd`, `poly_sub` and `poly_add`: the
+reference route for the field's trial-division test, `smallest_factor`.
 """
 
 import functools
 import itertools
 
-from qmatroids.constructions import WeakOrderVerdict, free_product
+from qmatroids.constructions import WeakOrderVerdict, _split_context, free_product
 from qmatroids.errors import BudgetError, InputError
-from qmatroids.factorization import free_separators
-from qmatroids.gf import Matrix, ext_field_new, span_rank
+from qmatroids.factorization import is_free_separator
+from qmatroids.gf import (
+    Matrix,
+    _trim,
+    ext_field_new,
+    poly_deg,
+    poly_mod,
+    poly_mul,
+    prime_factors,
+    span_rank,
+)
 from qmatroids.qmatroid import (
     AxiomVerdict,
     QMatroid,
@@ -102,6 +120,13 @@ def closure_pinchpoints(m):
     """Members of the closure comparable to every member, by dimension."""
     spaces = sum_intersection_closure(m)
     return [x for x in spaces if all(x.contains(y) or y.contains(x) for y in spaces)]
+
+
+def free_separators(m):
+    """All free separators, streamed in dimension order (budgeted)."""
+    for a in enumerate_subspaces(m.q, m.n):
+        if is_free_separator(m, a):
+            yield a
 
 
 def separator_pinchpoints(m):
@@ -274,6 +299,28 @@ def check_cyclic_flat_axioms_by_search(q: int, n: int, pairs) -> AxiomVerdict:
                      "join": spaces[vee].to_dict(), "meet": spaces[wedge].to_dict()},
                 )
     return AxiomVerdict(not failures, failures)
+
+
+def is_free_product_independent(m1, m2, i):
+    """The literal membership predicate for the free product's independents:
+    the part of i inside the left block is independent in m1, and the
+    rank m1 still has to spare covers the nullity of i's projection to
+    the right block."""
+    ctx = _split_context(m1, m2)
+    left, right = ctx.slice(i)
+    if not m1.is_independent(left):
+        return False
+    lack = m1.rank(m1.E) - m1.rank(left)
+    return lack >= right.dim - m2.rank(right)
+
+
+def free_product_independents(m1, m2):
+    ctx = _split_context(m1, m2)
+    return {
+        i
+        for i in enumerate_subspaces(m1.q, ctx.n)
+        if is_free_product_independent(m1, m2, i)
+    }
 
 
 def weak_compare_by_sweep(m1, m2):
@@ -580,3 +627,54 @@ def is_independence_violation(indep, failure) -> bool:
     ix = sum_subspaces(i, x)
     return axiom == "(I4'')" and x.dim == 1 and i in top(a) and not any(
         ix.contains(j) for j in top(sum_subspaces(a, x)))
+
+
+def poly_add(a, b, q):
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return _trim([(x + y) % q for x, y in zip(a, b)])
+
+
+def poly_sub(a, b, q):
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return _trim([(x - y) % q for x, y in zip(a, b)])
+
+
+def poly_gcd(a, b, q):
+    while b:
+        a, b = b, poly_mod(a, b, q)
+    if a:
+        inv = pow(a[-1], q - 2, q)
+        a = _trim([(c * inv) % q for c in a])
+    return a
+
+
+def poly_pow_mod(a, e, mod, q):
+    result = (1,)
+    a = poly_mod(a, mod, q)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, a, q), mod, q)
+        a = poly_mod(poly_mul(a, a, q), mod, q)
+        e >>= 1
+    return result
+
+
+def is_irreducible(modulus, q):
+    """Rabin's test for a monic polynomial over GF(q)."""
+    f = _trim(modulus)
+    m = poly_deg(f)
+    if m < 1 or f[-1] != 1:
+        return False
+    x = (0, 1)
+    if poly_pow_mod(x, q**m, f, q) != poly_mod(x, f, q):
+        return False
+    for p in prime_factors(m):
+        h = poly_sub(poly_pow_mod(x, q ** (m // p), f, q), x, q)
+        h = poly_mod(h, f, q)
+        if poly_deg(poly_gcd(h, f, q)) != 0:
+            return False
+    return True

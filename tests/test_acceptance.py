@@ -19,7 +19,6 @@ from qmatroids.constructions import (
     direct_sum,
     free_product,
     free_product_by_formula,
-    free_product_independents,
     weak_compare_identity,
 )
 from qmatroids.factorization import (
@@ -43,7 +42,7 @@ from qmatroids.qmatroid import (
 )
 from qmatroids.subspace import Subspace, enumerate_subspaces
 
-from oracles import closure_pinchpoints
+from oracles import closure_pinchpoints, free_product_independents
 
 U = QMatroid.uniform
 

@@ -12,11 +12,11 @@ import random
 import pytest
 
 from cases import acceptance_11_factors, random_gl, random_subspace
+from oracles import free_separators
 from qmatroids import cli
 from qmatroids.cli import VERBS, main
 from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import InvariantError
-from qmatroids.factorization import free_separators
 from qmatroids.qmatroid import QMatroid, transport
 from qmatroids.subspace import QuotientMap, Subspace
 
@@ -273,12 +273,19 @@ def test_search_x_verb(capsys, docs):
 
 def test_options_go_only_to_the_verbs_that_read_them(capsys, docs):
     # --q means nothing to a document that names its own field, a matrix's
-    # base field is the prime of its field, and no verb starts processes
+    # base field is the prime of its field, a matrix document is the one
+    # source of its modulus, and no verb starts processes
+    modulus = ["--modulus", "1,1,0,0,1"]
     for argv in (["cyclic-flats", docs["u12"], "--q", "3"],
                  ["from-matrix", docs["g16"], "--q", "2"],
                  ["verify-free-product-rep", docs["g16"], "--n1", "2", "--k1", "1", "--q", "0"],
                  ["rank", docs["u24"], docs["point"], "--workers", "2"],
-                 ["search-x", docs["g1"], docs["g2"], "--workers", "2"]):
+                 ["search-x", docs["g1"], docs["g2"], "--workers", "2"],
+                 ["from-matrix", docs["g16"], *modulus],
+                 ["club-check", docs["g16"], *modulus],
+                 ["evasive-check", docs["g16"], "--k1", "1", "--h", "1", *modulus],
+                 ["search-x", docs["g1"], docs["g2"], *modulus],
+                 ["verify-free-product-rep", docs["g16"], "--n1", "2", "--k1", "1", *modulus]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -352,6 +359,19 @@ def test_invariant_error_exits_4(capsys, monkeypatch, docs):
     assert captured.out == ""
 
 
+def test_any_other_exception_exits_4(capsys, monkeypatch, docs):
+    # exit 1 is a false verdict, so a fault no handler names is reported
+    # as an internal error with its type
+    def broken(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(cli._HANDLERS, "from-matrix", broken)
+    assert main(["from-matrix", docs["g16"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: IndexError: list index out of range")
+    assert "Traceback" in captured.err and captured.out == ""
+
+
 def test_input_error_exits(capsys, docs, tmp_path):
     assert main(["cyclic-flats", str(tmp_path / "missing.json")]) == 2
     garbled = tmp_path / "garbled.json"
@@ -411,6 +431,7 @@ def test_basis_coefficients_are_checked(capsys, tmp_path, q, row):
 
 
 GF16 = {"q": 2, "m": 4}
+GF4 = {"q": 2, "m": 2}
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -423,8 +444,23 @@ GF16 = {"q": 2, "m": 4}
     ({"field": GF16, "rows": 5}, "'rows' must be a list of lists"),
     ({"field": GF16, "rows": [[1, 2], 5]}, "'rows' must be a list of lists"),
     ({"field": GF16, "rows": [[1, True]]}, "cannot parse True"),
+    # coefficients outside 0..q-1: the GF(2) arithmetic packs them as
+    # given, so -1 + x + x^4 would multiply as x^4 + 1, and 3 would index
+    # past the log tables
+    ({"field": {**GF16, "modulus": [-1, 1, 0, 0, 1]}, "rows": [["1", "a"]]},
+     "modulus coefficient -1 is not an integer in 0..1"),
+    ({"field": {**GF16, "modulus": [1, 3, 0, 0, 1]}, "rows": [["1", "a"]]},
+     "modulus coefficient 3 is not an integer in 0..1"),
+    ({"field": {**GF4, "modulus": [1, 3, 1]}, "rows": [["1", "a"]]},
+     "modulus coefficient 3 is not an integer in 0..1"),
+    ({"field": {**GF4, "modulus": [1, -1, 1]}, "rows": [["1", "a"]]},
+     "modulus coefficient -1 is not an integer in 0..1"),
+    ({"field": {**GF4, "modulus": [3, 1, 1]}, "rows": [["1", "a"]]},
+     "modulus coefficient 3 is not an integer in 0..1"),
 ], ids=["float-q-string-m", "string-m", "int-modulus", "float-modulus-entry",
-        "string-modulus-entries", "int-rows", "int-row", "bool-element"])
+        "string-modulus-entries", "int-rows", "int-row", "bool-element",
+        "negative-modulus-entry", "large-modulus-entry", "gf4-large-middle",
+        "gf4-negative-middle", "gf4-large-constant"])
 def test_malformed_matrix_document_exits_2(capsys, tmp_path, doc, message):
     g = write(tmp_path, "bad.json", doc)
     for argv in (["from-matrix", g], ["club-check", g],
@@ -433,6 +469,45 @@ def test_malformed_matrix_document_exits_2(capsys, tmp_path, doc, message):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def _fuzzed_fields(field, rng):
+    """The field block with q, m and each modulus coefficient in turn
+    replaced by a bad or edge value, then random coefficient vectors."""
+    q, modulus = field["q"], field["modulus"]
+    for value in (-1, q, q + 1, 1.5, True, "1", None):
+        yield {**field, "q": value}
+        yield {**field, "m": value}
+        for i in range(len(modulus)):
+            yield {**field, "modulus": modulus[:i] + [value] + modulus[i + 1:]}
+    for _ in range(12):
+        top = rng.choice((q, q + 2))
+        tail = [rng.randrange(-1, top) for _ in range(field["m"])]
+        yield {**field, "modulus": tail + [rng.choice((1, 1, 1, 0, q))]}
+
+
+@pytest.mark.parametrize("field, rows", [
+    ({"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]}, [["1", "a", "0", "a^11"], ["0", "0", "1", "a^4"]]),
+    ({"q": 3, "m": 2, "modulus": [2, 2, 1]}, [["1", "a", "0", "a^3"], ["0", "0", "1", "a^2"]]),
+], ids=["GF(2^4)", "GF(3^2)"])
+def test_fuzzed_field_blocks_keep_the_exit_codes(capsys, tmp_path, field, rows):
+    # a matrix verb on any field block answers with a verdict (0 or 1) or
+    # an input error (2); it never raises, and never exits 1 on a fault
+    rng = random.Random(2026)
+    codes = set()
+    for fdoc in _fuzzed_fields(field, rng):
+        g = write(tmp_path, "g.json", {"field": fdoc, "rows": rows})
+        g1 = write(tmp_path, "g1.json", {"field": fdoc, "rows": [["1", "a"]]})
+        g2 = write(tmp_path, "g2.json", {"field": fdoc, "rows": [["1", "a^4"]]})
+        for argv in (["from-matrix", g], ["club-check", g],
+                     ["evasive-check", g, "--k1", "1", "--h", "1"], ["search-x", g1, g2],
+                     ["verify-free-product-rep", g, "--n1", "2", "--k1", "1"]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (fdoc, argv, code, err)
+            assert code != 2 or err.startswith("error: "), (fdoc, argv, err)
+            codes.add(code)
+    assert 2 in codes and codes & {0, 1}  # some fields reach a verdict
 
 
 def test_budget_vamos_guard(capsys, docs):

@@ -12,7 +12,12 @@ import random
 import pytest
 
 from cases import acceptance_11_factors, composite, random_gl, table_backed
-from oracles import minor_by_rank_table, weak_compare_by_sweep
+from oracles import (
+    free_product_independents,
+    is_free_product_independent,
+    minor_by_rank_table,
+    weak_compare_by_sweep,
+)
 
 from qmatroids.constructions import (
     direct_sum,
@@ -20,9 +25,7 @@ from qmatroids.constructions import (
     free_product,
     free_product_by_formula,
     free_product_chain,
-    free_product_independents,
     free_product_rank,
-    is_free_product_independent,
     weak_compare_identity,
 )
 from qmatroids.errors import InputError

@@ -10,7 +10,6 @@ from cases import acceptance_11_factors
 from qmatroids import factorization
 from qmatroids.constructions import direct_sum, free_product, free_product_chain
 from qmatroids.factorization import (
-    free_separators,
     irreducibility_verdict,
     is_free_separator,
     is_irreducible,
@@ -27,7 +26,13 @@ from qmatroids.qmatroid import QMatroid, rank_tables_equal, transport
 from qmatroids.representation import qmatroid_from_matrix
 from qmatroids.subspace import Subspace, enumerate_subspaces
 
-from oracles import closure_pinchpoints, generators, separator_pinchpoints, sum_intersection_closure
+from oracles import (
+    closure_pinchpoints,
+    free_separators,
+    generators,
+    separator_pinchpoints,
+    sum_intersection_closure,
+)
 
 U = QMatroid.uniform
 

@@ -10,17 +10,18 @@ import random
 
 import pytest
 
+from oracles import is_irreducible, poly_add
+
 from qmatroids.errors import InputError
 from qmatroids.gf import (
     _LOG_TABLE_LIMIT,
+    MAX_EXT_ORDER,
     ExtField,
     Matrix,
     ext_field_new,
     find_irreducible,
-    is_irreducible,
     is_prime,
     matrix_rank,
-    poly_add,
     poly_deg,
     poly_divmod,
     poly_mod,
@@ -78,13 +79,17 @@ def test_poly_divmod_round_trip():
             assert poly_add(poly_mul(quot, b, q), rem, q) == poly_add(a, (), q)
 
 
+def _is_irreducible(f, q):
+    return smallest_factor(f, q) == f
+
+
 def test_irreducibility_known_cases():
-    assert is_irreducible((1, 1, 1), 2)        # x^2+x+1
-    assert not is_irreducible((1, 0, 1), 2)    # (x+1)^2
+    assert _is_irreducible((1, 1, 1), 2)        # x^2+x+1
+    assert not _is_irreducible((1, 0, 1), 2)    # (x+1)^2
     assert smallest_factor((1, 0, 1), 2) == (1, 1)
-    assert is_irreducible((1, 0, 1), 3)        # x^2+1 has no root mod 3
-    assert is_irreducible((1, 1, 0, 0, 1), 2)
-    assert is_irreducible((1, 1, 1, 1, 1), 2)  # cyclotomic, order-5 root
+    assert _is_irreducible((1, 0, 1), 3)        # x^2+1 has no root mod 3
+    assert _is_irreducible((1, 1, 0, 0, 1), 2)
+    assert _is_irreducible((1, 1, 1, 1, 1), 2)  # cyclotomic, order-5 root
 
 
 def test_products_are_reducible():
@@ -93,7 +98,7 @@ def test_products_are_reducible():
         for _ in range(60):
             a = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 4))) + (1,)
             b = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 4))) + (1,)
-            assert not is_irreducible(poly_mul(a, b, q), q)
+            assert not _is_irreducible(poly_mul(a, b, q), q)
 
 
 def test_find_irreducible_is_lexicographically_first():
@@ -103,6 +108,42 @@ def test_find_irreducible_is_lexicographically_first():
     assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)
     got = find_irreducible(3, 3)
     assert poly_deg(got) == 3 and got[-1] == 1 and is_irreducible(got, 3)
+
+
+def _monic(q, d):
+    """Every monic polynomial of degree d over GF(q), in encoded-tail order."""
+    for tail in range(q**d):
+        yield tuple(tail // q**i % q for i in range(d)) + (1,)
+
+
+def test_trial_division_matches_rabin():
+    # smallest_factor is the one irreducibility test in src; Rabin's test
+    # is its reference route, on every monic polynomial of small degree
+    # (4499 of them) and on the default modulus of every field
+    polys = [(f, q) for q, top in ((2, 10), (3, 6), (5, 4), (7, 3), (13, 2))
+             for d in range(1, top + 1) for f in _monic(q, d)]
+    assert len(polys) == 4499
+    for f, q in polys:
+        assert _is_irreducible(f, q) == is_irreducible(f, q), (f, q)
+    for q in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while q**m <= MAX_EXT_ORDER:
+            first = next(f for f in _monic(q, m) if is_irreducible(f, q))
+            assert find_irreducible(q, m) == first, (q, m)
+            m += 1
+
+
+@pytest.mark.parametrize("modulus", [(1, 3, 0, 0, 1), (-1, 1, 0, 0, 1), (True, 1, 0, 0, 1),
+                                     (1.0, 1, 0, 0, 1), ("1", 1, 0, 0, 1), (None, 1, 0, 0, 1)],
+                         ids=["too-large", "negative", "bool", "float", "string", "null"])
+def test_modulus_coefficients_are_checked(modulus):
+    # the GF(2) arithmetic packs coefficients as given, so -1 + x + x^4
+    # would multiply as x^4 + 1, a reducible modulus, and 3 would index
+    # past the log tables
+    with pytest.raises(InputError, match="is not an integer in 0..1"):
+        ExtField(2, 4, modulus)
+    with pytest.raises(InputError, match="is not an integer in 0..1"):
+        ext_field_new(2, 4, modulus)
 
 
 def test_default_moduli_are_pinned():
@@ -147,7 +188,7 @@ def _primitive_field(q, m):
     """GF(q^m) on the first primitive modulus, so it has log tables."""
     for tail in range(q**m):
         mod = tuple((tail // q**i) % q for i in range(m)) + (1,)
-        if is_irreducible(mod, q):
+        if _is_irreducible(mod, q):
             F = ExtField(q, m, mod)
             if F.is_primitive:
                 return F

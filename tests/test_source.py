@@ -219,3 +219,17 @@ def test_a_fields_order_picks_its_arithmetic():
     imported = {alias.name for node in ast.walk(ast.parse((SRC / "representation.py").read_text()))
                 if isinstance(node, ast.ImportFrom) and node.module == "gf" for alias in node.names}
     assert {name for name in imported if name.endswith("Field")} == {"ExtField"}
+
+
+def test_one_irreducibility_test_and_one_modulus_source():
+    # trial division decides irreducibility, and Rabin's test with its
+    # polynomial helpers is the test oracle; a matrix document is the one
+    # source of a field's modulus, and ExtField its one check
+    defined = {name for name, _ in _scopes("gf.py")}
+    assert not defined & {"is_irreducible", "poly_pow_mod", "poly_gcd", "poly_sub", "poly_add"}
+    for name in ("ExtField.__init__", "find_irreducible"):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(_defined("gf.py", name)) if isinstance(node, ast.Call)}
+        assert "smallest_factor" in called, name
+    cli = (SRC / "cli.py").read_text()
+    assert "--modulus" not in cli and "_parse_modulus" not in cli
