@@ -5,14 +5,17 @@ reports go to standard output (JSON or plain text), progress chatter to
 standard error.  Exit codes: 0 for success or a true verdict, 1 for a
 false verdict, 2 for input errors, 3 for exhausted budgets, 4 for a
 failed internal consistency check or any other internal fault (a bug,
-reported on standard error).
+reported on standard error), and 4 as well when standard output closes
+before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -432,10 +435,17 @@ def main(argv=None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return 4
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if args.format == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away: no report, so no verdict
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        # the flush at exit would fail again; send what is left to nowhere
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 4
     return code
 
 

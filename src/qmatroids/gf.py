@@ -13,12 +13,14 @@ q^m may not exceed 2^20.  A field's order alone picks its arithmetic:
 log tables up to 2^16, whatever the modulus, and polynomials above.
 `ExtField` is the one check of a modulus, and trial division
 (`smallest_factor`) the one irreducibility test.  Matrices are dense
-tuples of tuples, and the only linear algebra on them is their rank
-(`span_rank`).
+tuples of tuples, and the only linear algebra on rows of field elements
+is one online elimination: `echelon`, with `reduce_vector` its
+reduction step, and their rank `span_rank`, the length of the echelon.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -131,7 +133,13 @@ def smallest_factor(modulus: Sequence[int], q: int) -> tuple[int, ...]:
     """The first monic factor of least degree of a monic f over GF(q), by
     trial division.  A reducible f of degree m has one of degree at most
     m/2, so f is irreducible exactly when it is its own smallest factor."""
-    f = _trim(modulus)
+    return _smallest_factor(_trim(modulus), q)
+
+
+# ExtField tests the modulus find_irreducible has just found; the cache
+# answers that second test
+@functools.lru_cache(maxsize=256)
+def _smallest_factor(f: tuple[int, ...], q: int) -> tuple[int, ...]:
     m = poly_deg(f)
     for d in range(1, m // 2 + 1):
         for tail in range(q**d):
@@ -141,6 +149,7 @@ def smallest_factor(modulus: Sequence[int], q: int) -> tuple[int, ...]:
     return f
 
 
+@functools.lru_cache(maxsize=64)
 def find_irreducible(q: int, m: int) -> tuple[int, ...]:
     """The first monic irreducible of degree m over GF(q), in the order of
     the encoded tail f - x^m, decided by `smallest_factor`."""
@@ -221,6 +230,17 @@ class ExtField:
             a //= self.q
         return tuple(out)
 
+    def pack(self, v: Sequence[int]):
+        """The coefficient vectors of the entries of v, one after another,
+        as `subspace` packs a vector of F_q^(m len(v)): for q = 2 the bits
+        of the encodings side by side, else one tuple of residues."""
+        if self.q != 2:
+            return sum(map(self.coeffs, v), ())
+        packed = 0
+        for x in reversed(v):
+            packed = packed << self.m | x
+        return packed
+
     def encode(self, coeffs: Iterable[int]) -> int:
         a = 0
         for i, c in enumerate(coeffs):
@@ -259,6 +279,25 @@ class ExtField:
             return a if c else 0
         return self.encode(c * x for x in self.coeffs(a))
 
+    def span_table(self, elements: Iterable[int], table: Sequence[int] = (0,)) -> list[int]:
+        """The F_q-combinations of some elements and then of `elements`, in
+        base-q counting order, given `table`, those of the first ones.
+
+        Entry i has coefficient digit j of i on element j.  The block for
+        an element x is the table so far plus c x for c = 1..q-1, one add
+        per entry.
+        """
+        table = list(table)
+        for x in elements:
+            if self.q == 2:
+                table += [e ^ x for e in table]
+                continue
+            size = len(table)
+            for c in range(1, self.q):
+                s = self.smul(c, x)
+                table += [self.add(e, s) for e in table[:size]]
+        return table
+
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
             if a == 0 or b == 0:
@@ -276,6 +315,24 @@ class ExtField:
             return acc
         prod = poly_mod(poly_mul(self.coeffs(a), self.coeffs(b), self.q), self.modulus, self.q)
         return self.encode(prod + (0,) * (self.m - len(prod)))
+
+    def quotients(self, nums: Iterable[int], dens: Iterable[int]) -> list[int]:
+        """a / b for the pairs (a, b) of nums and dens, every b nonzero:
+        one lookup each in the log tables, else three products each
+        around one inverse for them all (Montgomery's trick)."""
+        if self._exp is not None:
+            exp, log = self._exp, self._log
+            return [exp[log[a] - log[b]] if a else 0 for a, b in zip(nums, dens)]  # a negative index wraps
+        mul, nums, dens = self.mul, list(nums), list(dens)
+        prefix = [1]  # prefix[i]: the product of dens[:i]
+        for b in dens:
+            prefix.append(mul(prefix[-1], b))
+        inv = self.inv(prefix[-1])  # 1 / the product of dens[:i + 1], for i from the end
+        out = [0] * len(dens)
+        for i in range(len(dens) - 1, -1, -1):
+            out[i] = mul(nums[i], mul(inv, prefix[i]))
+            inv = mul(inv, dens[i])
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -415,27 +472,41 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows!r})"
 
 
-def span_rank(F, vectors) -> int:
-    """Dimension of the span of row vectors over F, by online elimination.
-
-    Each vector is reduced against the normalized rows kept so far, as
-    (pivot, row) pairs, and kept if anything is left; no Matrix is built.
-    """
+def reduce_vector(F, v, rows) -> list[int]:
+    """v with its entries at the pivots of an echelon's (pivot, row) pairs
+    cleared, each row having 1 at its pivot; v is in their span exactly
+    when the result is zero."""
     mul, sub = F.mul, F.sub
-    basis: list[tuple[int, list[int]]] = []
+    for p, b in rows:
+        c = v[p]
+        if c:
+            v = [sub(x, mul(c, y)) if y else x for x, y in zip(v, b)]
+    return v
+
+
+def echelon(F, vectors) -> list[tuple[int, list[int]]]:
+    """An echelon of the span of row vectors over F, by online
+    elimination: (pivot, row) pairs, each row scaled to 1 at its pivot.
+
+    Each vector is reduced against the pairs kept so far and kept if
+    anything is left; no Matrix is built.
+    """
+    mul, rows = F.mul, []
     for v in vectors:
-        for p, b in basis:
-            c = v[p]
-            if c:
-                v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+        if len(rows) == len(v):  # the echelon spans the whole space
+            break
+        v = reduce_vector(F, v, rows)
         for p, x in enumerate(v):
             if x:
+                inv = F.inv(x)
+                rows.append((p, [mul(inv, y) for y in v]))
                 break
-        else:
-            continue
-        inv = F.inv(x)
-        basis.append((p, [mul(inv, y) for y in v]))
-    return len(basis)
+    return rows
+
+
+def span_rank(F, vectors) -> int:
+    """Dimension of the span of row vectors over F: the length of their echelon."""
+    return len(echelon(F, vectors))
 
 
 def matrix_rank(M: Matrix) -> int:

@@ -8,19 +8,23 @@ by a two-row system on the projective line PG(1, q^m), reads evasivity
 off that profile, and searches for coupling blocks X that make the
 stacked matrix (G1 X; 0 G2) represent a free product of uniform
 q-matroids.  Every route reads the images of coefficient vectors from
-one table of all q^n of them (_image_table): the q-matroid of a matrix
-and the profile once, the search once per candidate, on the target's
-bases alone.  The base field F_q is always the prime field of G's field.
+span tables, in vector_index order: the q-matroid of a matrix from the
+table of all q^n of them (_image_table), the profile from one table per
+coordinate, and the search from the table of each prefix of X, grown by
+one column whenever an entry fixes one and tested there on the target's
+bases whose last column it is.  The base field F_q is always the prime
+field of G's field.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InputError, InvariantError
-from .gf import ExtField, Matrix, matrix_rank, span_rank
+from .gf import ExtField, Matrix, echelon, matrix_rank, reduce_vector, span_rank
 from .qmatroid import QMatroid
 from .subspace import Subspace, enumerate_subspaces, vector_index
 
@@ -34,25 +38,18 @@ PROFILE_VECTOR_LIMIT = 1 << 16
 
 
 def _columns(G: Matrix) -> list[tuple[int, ...]]:
-    return [tuple(r[j] for r in G.rows) for j in range(G.ncols)]
+    return list(zip(*G.rows))
 
 
 def _image_table(field, cols: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The images of all q^n coefficient vectors, in vector_index order.
 
     Entry i is the combination of `cols` whose coefficient on column j
-    is the j-th base-q digit of i.  The block for column j is the table
-    so far shifted by c * col_j for c = 1..q-1, so each entry costs one
-    vector add.
+    is the j-th base-q digit of i, read off one span table per
+    coordinate.  The first q^j entries are the table of the first j
+    columns.
     """
-    k = len(cols[0]) if cols else 0
-    table = [(field.zero,) * k]
-    for col in cols:
-        size = len(table)
-        for c in range(1, field.q):
-            shift = tuple(field.smul(c, x) for x in col)
-            table += [tuple(map(field.add, e, shift)) for e in table[:size]]
-    return table
+    return list(zip(*(field.span_table(row) for row in zip(*cols))))
 
 
 class QSystem:
@@ -67,12 +64,13 @@ class QSystem:
     __slots__ = ("field", "k", "generators")
 
     def __init__(self, field: ExtField, k: int, generators):
-        gens = Matrix(field, generators).rows  # every entry is a field element
+        self._init(field, k, Matrix(field, generators).rows)  # every entry is a field element
+
+    def _init(self, field: ExtField, k: int, gens: tuple) -> None:
         for g in gens:
             if len(g) != k:
                 raise InputError(f"generator length {len(g)} != ambient dimension {k}")
-        expanded = [[c for x in g for c in field.coeffs(x)] for g in gens]
-        if Subspace.from_coeff_rows(field.q, k * field.m, expanded).dim != len(gens):
+        if Subspace(field.q, k * field.m, map(field.pack, gens)).dim != len(gens):
             raise InputError("generators are linearly dependent over the prime field")
         if span_rank(field, gens) != k:
             raise InputError("generators do not span the ambient space over the extension field")
@@ -85,7 +83,9 @@ class QSystem:
 
     @classmethod
     def from_matrix(cls, G: Matrix) -> "QSystem":
-        return cls(G.field, G.nrows, _columns(G))
+        system = object.__new__(cls)
+        system._init(G.field, G.nrows, tuple(zip(*G.rows)))  # Matrix checked the entries
+        return system
 
     @property
     def q(self) -> int:
@@ -151,8 +151,7 @@ class LinearSetProfile:
 
     def __post_init__(self):
         q = self.field.q
-        total = sum(q**w - 1 for _, w in self.points)
-        if total != q**self.rank - 1:
+        if sum([q**w for _, w in self.points]) - len(self.points) != q**self.rank - 1:
             raise InputError("profile weights do not partition the nonzero system vectors")
 
     def weights(self) -> list[int]:
@@ -183,21 +182,18 @@ def linear_set_profile(system: QSystem) -> LinearSetProfile:
     field, q, n = system.field, system.q, system.n
     if q**n > PROFILE_VECTOR_LIMIT:
         raise BudgetError(f"profiling streams q^n = {q**n} vectors, over the budget {PROFILE_VECTOR_LIMIT}")
-    counts: dict[tuple[int, int], int] = {}
-    for y0, y1 in _image_table(field, system.generators)[1:]:
-        pt = (1, field.mul(field.inv(y0), y1)) if y0 else (0, 1)
-        counts[pt] = counts.get(pt, 0) + 1
-    points = []
-    for pt in sorted(counts):
-        size = counts[pt] + 1
-        w = 0
-        while size % q == 0:
-            size //= q
-            w += 1
-        # |S meet P| is an F_q-subspace, so the count must be q^w - 1.
-        if size != 1 or w < 1:
-            raise InvariantError("point count is not a power of q")
-        points.append((pt, w))
+    # one table per coordinate; a nonzero vector (y0, y1) lies on the
+    # point (0, 1) when y0 = 0, else on (1, y1 / y0)
+    t0, t1 = (field.span_table(row) for row in zip(*system.generators))
+    ratios = Counter(field.quotients(compress(t1, t0), compress(t0, t0)))
+    axis = t0.count(0) - 1
+    # |S meet P| is an F_q-subspace, so each count must be q^w - 1
+    weights = {q**w - 1: w for w in range(1, n + 1)}
+    try:
+        points = ([((0, 1), weights[axis])] if axis else []) + [
+            ((1, r), weights[ratios[r]]) for r in sorted(ratios)]
+    except KeyError:
+        raise InvariantError("point count is not a power of q") from None
     return LinearSetProfile(field=field, rank=n, points=tuple(points))
 
 
@@ -283,6 +279,22 @@ def coupling_search_size(G1: Matrix, G2: Matrix) -> int:
     return G1.field.order**free
 
 
+def _keeps_rank(field, table, level: dict, k: int) -> bool:
+    """Whether every basis of a level has rank k under the image table.
+
+    A level maps the first k - 1 rows of its bases, as image indices, to
+    their last rows; the first rows are eliminated once for them all.
+    """
+    for head, lasts in level.items():
+        rows = echelon(field, [table[i] for i in head])
+        if len(rows) < k - 1:
+            return False
+        for i in lasts:
+            if not any(reduce_vector(field, table[i], rows)):
+                return False
+    return True
+
+
 def search_x(G1: Matrix, G2: Matrix) -> list[Matrix]:
     """All coupling blocks X making (G1 X; 0 G2) represent a uniform free product.
 
@@ -296,8 +308,15 @@ def search_x(G1: Matrix, G2: Matrix) -> list[Matrix]:
     rank k under the candidate's image table.  The target's other
     k-spaces meet the seam F_q^{n1} + 0 in more than k1 dimensions, and
     G has rank k1 on the seam, so they have rank below k under every
-    candidate: passing means having exactly the target's bases.  The
-    first hit is re-verified literally.
+    candidate: passing means having exactly the target's bases.
+
+    The entries are walked depth first.  X is row-major, so setting
+    entry (k1 - 1) * n2 + t fixes column n1 + t of G, and the image
+    table of the prefix grows by that column: its first q^j entries are
+    the table of the first j columns.  Each basis is filed under the
+    last column its rows use and tested once per prefix that fixes that
+    column; a failure there rules out every completion of the prefix.
+    The first hit is re-verified literally.
     """
     count = coupling_search_size(G1, G2)
     field = G1.field
@@ -312,19 +331,39 @@ def search_x(G1: Matrix, G2: Matrix) -> list[Matrix]:
         raise BudgetError(f"search space has {count} candidates, over the budget {SEARCH_X_LIMIT}")
     n, k = n1 + n2, k1 + k2
     target = QMatroid.from_cyclic_flats(q, n, _free_product_flats(q, n, n1, k1, k).items())
-    bases = [tuple(vector_index(q, n, v) for v in s.rows)
-             for s in enumerate_subspaces(q, n, [k]) if target.rank(s) == k]
-    left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
+    # levels[t]: the bases whose last column is n1 + t (or earlier, for t = 0)
+    levels: list[dict] = [{} for _ in range(n2)]
+    for s in enumerate_subspaces(q, n, [k]):
+        if target.rank(s) == k:
+            rows = [vector_index(q, n, v) for v in s.rows]
+            t = 0
+            while max(rows) >= q ** (n1 + t + 1):
+                t += 1
+            levels[t].setdefault(tuple(rows[:-1]), []).append(rows[-1])
     g2cols = _columns(G2)
-    hits = []
-    # the first `count` blocks in encoding order are those whose pinned
-    # entry is zero (see coupling_search_size)
-    for entries in itertools.islice(itertools.product(range(field.order), repeat=k1 * n2), count):
-        cols = left + [tuple(entries[i * n2 + j] for i in range(k1)) + g2cols[j]
-                       for j in range(n2)]
-        table = _image_table(field, cols)
-        if all(span_rank(field, [table[i] for i in basis]) == k for basis in bases):
-            hits.append(entries)
+    free, fixing = k1 * n2, (k1 - 1) * n2
+    entries, hits = [0] * free, []
+
+    def walk(d: int, coords: list) -> None:
+        """Every completion of entries[:d], given one span table per
+        coordinate of the columns fixed so far."""
+        if d == free:
+            hits.append(tuple(entries))
+            return
+        t = d - fixing
+        # the pinned entry (see coupling_search_size) is zero
+        for x in range(1 if d == 0 and k1 == 1 else field.order):
+            entries[d] = x
+            if t < 0:
+                walk(d + 1, coords)
+                continue
+            col = [entries[i * n2 + t] for i in range(k1)] + list(g2cols[t])
+            grown = [field.span_table((y,), table) for y, table in zip(col, coords)]
+            if _keeps_rank(field, list(zip(*grown)), levels[t], k):
+                walk(d + 1, grown)
+
+    left = [g1col + (field.zero,) * k2 for g1col in _columns(G1)]
+    walk(0, [field.span_table(row) for row in zip(*left)])
     if hits:
         first = _as_block(field, hits[0], k1, n2)
         if not verify_free_product_rep(block_rep(G1, G2, first), n1, k1):

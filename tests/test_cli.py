@@ -7,7 +7,10 @@ the assertions need structure.  Exit codes follow the module contract:
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -370,6 +373,23 @@ def test_any_other_exception_exits_4(capsys, monkeypatch, docs):
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: IndexError: list index out of range")
     assert "Traceback" in captured.err and captured.out == ""
+
+
+def test_closed_stdout_exits_4_without_a_traceback(docs):
+    # the report cannot be delivered, so there is no verdict: exit 4 and
+    # one line on standard error, not exit 1 with a BrokenPipeError
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run([sys.executable, "-m", "qmatroids.cli", "search-x", docs["g1"], docs["g2"],
+                               "--format", "json"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 4
+    assert done.stderr == "error: standard output closed before the report was written\n"
 
 
 def test_input_error_exits(capsys, docs, tmp_path):

@@ -12,12 +12,14 @@ import pytest
 
 from oracles import is_irreducible, poly_add
 
+from qmatroids import gf
 from qmatroids.errors import InputError
 from qmatroids.gf import (
     _LOG_TABLE_LIMIT,
     MAX_EXT_ORDER,
     ExtField,
     Matrix,
+    echelon,
     ext_field_new,
     find_irreducible,
     is_prime,
@@ -27,8 +29,11 @@ from qmatroids.gf import (
     poly_mod,
     poly_mul,
     prime_factors,
+    reduce_vector,
     smallest_factor,
+    span_rank,
 )
+from qmatroids.subspace import pack_vector
 
 
 def test_prime_guards():
@@ -409,3 +414,54 @@ def test_identity_has_full_rank():
     F = ext_field_new(2, 4)
     for n in range(1, 5):
         assert matrix_rank(Matrix(F, [[int(i == j) for j in range(n)] for i in range(n)])) == n
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (2, 17), (3, 11)])
+def test_quotients_match_inverse_and_product(q, m):
+    # fields up to 2^16 read the log tables, larger ones share one inverse
+    F = ext_field_new(q, m)
+    rng = random.Random(q * m)
+    dens = [rng.randrange(1, F.order) for _ in range(40)]
+    nums = [0, 1] + [rng.randrange(F.order) for _ in range(38)]
+    assert F.quotients(nums, dens) == [F.mul(a, F.inv(b)) for a, b in zip(nums, dens)]
+    assert F.quotients([], []) == []
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 3)])
+def test_pack_matches_the_coefficient_expansion(q, m):
+    F = ext_field_new(q, m)
+    rng = random.Random(q + m)
+    for _ in range(20):
+        v = [rng.randrange(F.order) for _ in range(3)]
+        expansion = [c for x in v for c in F.coeffs(x)]
+        assert F.pack(v) == pack_vector(q, 3 * m, expansion)
+
+
+def test_echelon_rows_are_normalized_and_span_the_input():
+    F = ext_field_new(3, 2)
+    rng = random.Random(5)
+    for _ in range(30):
+        vectors = [[rng.randrange(F.order) for _ in range(4)] for _ in range(rng.randrange(1, 6))]
+        rows = echelon(F, vectors)
+        assert len(rows) == span_rank(F, vectors) == matrix_rank(Matrix(F, vectors))
+        for i, (p, row) in enumerate(rows):
+            assert row[p] == 1 and not any(row[:p])
+            assert all(other[p] == 0 for _, other in rows[i + 1:])
+        for v in vectors:
+            assert not any(reduce_vector(F, v, rows))
+
+
+def test_default_field_tests_its_modulus_once():
+    # find_irreducible caches the default modulus, and ExtField's one
+    # check of it is answered by the trial division find_irreducible ran
+    find_irreducible.cache_clear()
+    gf._smallest_factor.cache_clear()
+    F = ext_field_new(2, 17)
+    tried = gf._smallest_factor.cache_info()
+    # one trial division per candidate tail 0..tail of the modulus, and one hit
+    assert (tried.misses, tried.hits) == (F.encode(F.modulus[:-1]) + 1, 1)
+    assert ext_field_new(2, 17) == F
+    assert find_irreducible.cache_info().hits == 1
+    assert gf._smallest_factor.cache_info().misses == tried.misses
+    with pytest.raises(InputError, match="reducible"):
+        ext_field_new(2, 4, (1, 0, 0, 0, 1))

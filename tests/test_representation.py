@@ -25,7 +25,7 @@ from oracles import (
 
 from qmatroids.constructions import direct_sum, free_product, weak_compare_identity
 from qmatroids.errors import BudgetError, InputError
-from qmatroids.gf import Matrix, ext_field_new
+from qmatroids.gf import ExtField, Matrix, ext_field_new
 from qmatroids.qmatroid import QMatroid, rank_tables_equal
 from qmatroids.representation import (
     QSystem,
@@ -107,6 +107,21 @@ def test_qsystem_invariant_rejections():
         QSystem(F16, 2, [(1, 0), (0, 1), (1, 1)])  # third = sum of first two
     with pytest.raises(InputError):
         QSystem(F16, 2, [(1, 0), (A, 0)])  # span misses the second axis
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_qsystem_rejects_generators_dependent_over_the_prime_field(q):
+    F = ext_field_new(q, 3)
+    a = F.generator
+    g, h = (a, 1), (F.mul(a, a), a)
+    combo = tuple(F.add(F.smul(q - 1, x), y) for x, y in zip(g, h))  # (q - 1) g + h
+    for gens in ([g, h, combo], [g, (1, 0), (F.smul(q - 1, a), q - 1), h]):
+        with pytest.raises(InputError, match="prime field"):
+            QSystem(F, 2, gens)
+        with pytest.raises(InputError, match="prime field"):
+            QSystem.from_matrix(Matrix(F, list(zip(*gens))))
+    # the same generators without the dependent one are a system
+    assert QSystem.from_matrix(Matrix(F, list(zip(g, h, (1, 0))))).n == 3
 
 
 def test_profile_of_the_club_example():
@@ -251,6 +266,41 @@ def test_search_matches_the_rank_table_route(case):
     assert hits == search_x_by_rank_table(G1, G2)
 
 
+@pytest.mark.vamos
+@pytest.mark.skipif(not os.environ.get("QM_RUN_VAMOS"),
+                    reason="625 candidates on the rank-table route; set QM_RUN_VAMOS=1")
+def test_search_over_gf625_matches_the_rank_table_route():
+    # q = 5: G2 = (1 c^5) has 500 hits among 625 blocks
+    F = ext_field_new(5, 4)
+    c = F.generator
+    G1, G2 = Matrix(F, [(1, c)]), Matrix(F, [(1, F.pow(c, 5))])
+    hits = search_x(G1, G2)
+    assert len(hits) == 500
+    assert hits == search_x_by_rank_table(G1, G2)
+
+
+def test_search_field_work_is_pinned():
+    # the frozen GF(2^4) search: each basis is tested once per prefix
+    # that fixes its last column, with its first rows eliminated once
+    # per level; the count includes the literal check of the first hit
+    G1, G2 = pair16()
+    calls = Counter()
+    mul, inv = ExtField.mul, ExtField.inv
+
+    def counted(name, method):
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExtField, "mul", counted("mul", mul))
+        patch.setattr(ExtField, "inv", counted("inv", inv))
+        hits = search_x(G1, G2)
+    assert len(hits) == 8
+    assert calls == {"mul": 1007, "inv": 236}
+
+
 def test_search_guards():
     G1, G2 = pair16()
     F32 = ext_field_new(2, 5)
@@ -302,6 +352,17 @@ def test_profile_matches_the_streaming_route():
                 clubs += profile.club_index() is not None
                 checked += 1
     assert checked >= 50 and clubs > 0
+
+
+@pytest.mark.parametrize("q, m", [(2, 17), (3, 11), (5, 2), (7, 2)])
+def test_profile_matches_the_streaming_route_past_the_log_tables(q, m):
+    # GF(2^17) and GF(3^11) have no log tables, so the quotients go
+    # through one batched inverse; GF(5^2) and GF(7^2) add odd q
+    F = ext_field_new(q, m)
+    rng = random.Random(q * m)
+    for n in range(2, 5):
+        S = _random_system(rng, F, 2, n)
+        assert linear_set_profile(S) == linear_set_profile_by_stream(S)
 
 
 def test_evasivity_matches_the_hyperplane_route():
@@ -400,3 +461,18 @@ def test_three_row_search_with_hits_matches_the_rank_table_route():
     hits = search_x(G1, G2)
     assert len(hits) == 512
     assert hits == search_x_by_rank_table(G1, G2)
+
+
+@pytest.mark.vamos
+@pytest.mark.skipif(not os.environ.get("QM_RUN_VAMOS"),
+                    reason="4096 candidates on the rank-table route; set QM_RUN_VAMOS=1")
+def test_two_row_coupling_search_matches_the_rank_table_route():
+    # k1 = 2: X is row-major, so entries 2 and 3 fix columns 3 and 4 and
+    # the walk tests bases there, after two entries that fix nothing;
+    # over GF(2^3) this pair has no hits
+    F8 = ext_field_new(2, 3)
+    c = F8.generator
+    G1 = Matrix(F8, [(1, 0, c), (0, 1, F8.pow(c, 3))])
+    G2 = Matrix(F8, [(1, c)])
+    assert coupling_search_size(G1, G2) == 4096
+    assert search_x(G1, G2) == search_x_by_rank_table(G1, G2) == []
